@@ -187,12 +187,14 @@ def _g_derivative(spec: FiberDivergence, lam):
     return d
 
 
-def apply_bound(spec: FiberDivergence, value: float) -> float:
-    """Apply the optional increasing bounded transform h to a value."""
+def apply_bound(spec: FiberDivergence, value):
+    """Apply the optional increasing bounded transform h, elementwise on arrays."""
     if spec.bound is None:
         return value
     if spec.bound[0] == "ratio":
         return value / (1.0 + value)
+    if np.ndim(value):
+        return np.minimum(spec.bound[1], value)
     return min(spec.bound[1], value)
 
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .divergences import GEODESIC_AB, FiberDivergence
+from .divergences import GEODESIC_AB, FiberDivergence, apply_bound, per_eigenvalue_terms
 from .errors import DomainError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import TOL_RANK, PsdMatrix, _herm, small_angles_refined
@@ -120,17 +122,52 @@ def generalized_hausdorff(f, pairs):
 
 @dataclass
 class _Prepared:
-    r: int
-    s: int
+    """An aligned pair (rank r <= s) in factored form.
+
+    With M = UA* UB = P diag(sigma) Qh, the fiber representations are
+    C = P* diag(wA) P and D = Qh diag(wB) Qh*. They are built on first use:
+    the closed form needs only the pencil spectrum mu = lambda(C^{-1} D11),
+    which is sigma(K)^2 for K = diag(wA^{-1/2}) P Qh[:r] diag(wB^{1/2}).
+    """
+
     sigma: np.ndarray
     theta: np.ndarray
     l: int
-    C: np.ndarray  # r x r representation of the smaller-rank side
-    D: np.ndarray  # s x s representation of the other side
+    mu: np.ndarray  # unclamped pencil spectrum, descending
+    wA: np.ndarray
+    P: np.ndarray
+    wB: np.ndarray
+    Qh: np.ndarray
+
+    @property
+    def r(self):
+        return len(self.wA)
+
+    @property
+    def s(self):
+        return len(self.wB)
+
+    @cached_property
+    def C(self):
+        return _herm(self.P.conj().T @ (self.wA[:, None] * self.P))
+
+    @cached_property
+    def D(self):
+        return _herm(self.Qh @ (self.wB[:, None] * self.Qh.conj().T))
+
+    def reversed(self, tol):
+        """The same pair with its arguments swapped; equal ranks only.
+
+        M* = Qh* diag(sigma) P*, so the factors trade places and K becomes
+        K^{-1}: the reverse pencil spectrum is 1/mu.
+        """
+        return replace(self, l=int(np.count_nonzero(self.sigma <= tol)),
+                       mu=1.0 / self.mu[::-1], wA=self.wB, P=self.Qh.conj().T,
+                       wB=self.wA, Qh=self.P.conj().T)
 
 
 def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
-    """Aligned fiber representations; assumes rank(A) <= rank(B)."""
+    """Aligned fiber pair; assumes rank(A) <= rank(B)."""
     n = max(A.n, B.n)
     UA, wA = A.compact_factors()
     UB, wB = B.compact_factors()
@@ -144,11 +181,11 @@ def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
     M = UA.conj().T @ UB
     P, sig, Qh = np.linalg.svd(M, full_matrices=True)
     sigma = np.clip(sig, 0.0, 1.0)
-    theta = small_angles_refined(sigma, UA, UB @ Qh.conj().T)
-    l = int(np.count_nonzero(sigma <= tol))
-    C = _herm(P.conj().T @ (wA[:, None] * P))
-    D = _herm(Qh @ (wB[:, None] * Qh.conj().T))
-    return _Prepared(r=r, s=s, sigma=sigma, theta=theta, l=l, C=C, D=D)
+    theta = small_angles_refined(sigma, UA, UB @ Qh[:r].conj().T)
+    K = (P @ Qh[:r]) * np.sqrt(wB) / np.sqrt(wA)[:, None]
+    mu = np.linalg.svd(K, compute_uv=False) ** 2
+    return _Prepared(sigma=sigma, theta=theta, l=int(np.count_nonzero(sigma <= tol)),
+                     mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
 def _pair_fiber_value(spec: FiberDivergence, mu):
@@ -173,12 +210,10 @@ def _batch_values(spec, X_invhalf, Y11_batch):
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         return np.array([_pair_fiber_value(spec, row) for row in mu])
     lam = np.maximum(1.0, mu)
-    from .divergences import apply_bound, per_eigenvalue_terms
-
     totals = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
     vals = np.where(totals > 0.0, totals, 0.0) ** spec.outer_exponent
     if spec.bound is not None:
-        vals = np.array([apply_bound(spec, v) for v in vals])
+        vals = apply_bound(spec, vals)
     return vals
 
 
@@ -292,12 +327,12 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=
     return pairs
 
 
-def _faithful_fiber(prep: _Prepared, spec: FiberDivergence, samples, seed):
+def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
     """Directed max-min fiber value over the sampled ambiguity group."""
-    r, s, l = prep.r, prep.s, prep.l
-    complex_field = np.iscomplexobj(prep.C) or np.iscomplexobj(prep.D)
+    r, s = C.shape[0], D.shape[0]
+    complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     rng = np.random.default_rng(seed)
-    blocks = _sigma_blocks(prep.sigma, r - l)
+    blocks = _sigma_blocks(sigma, r - l)
     if l == 0:
         n_p, n_s = max(4, min(32, samples // 64)), 1
     else:
@@ -316,11 +351,11 @@ def _faithful_fiber(prep: _Prepared, spec: FiberDivergence, samples, seed):
         # S factors act on the last l rows of the left frame
         Gs = _sample_group(rng, l, n_s if l else 1, complex_field, r)
         Gs[:, : r - l, : r - l] = P
-        Xs = Gs @ prep.C @ np.swapaxes(Gs.conj(), -1, -2)
+        Xs = Gs @ C @ np.swapaxes(Gs.conj(), -1, -2)
         # T factors act on the last s - r + l rows of the right frame
         Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
         Ht[:, : r - l, : r - l] = P
-        Y11 = (Ht @ prep.D @ np.swapaxes(Ht.conj(), -1, -2))[:, :r, :r]
+        Y11 = (Ht @ D @ np.swapaxes(Ht.conj(), -1, -2))[:, :r, :r]
         vals = np.empty((Xs.shape[0], n_t))
         for i in range(Xs.shape[0]):
             vals[i] = _batch_values(spec, _inv_half(Xs[i]), Y11)
@@ -332,14 +367,13 @@ def _faithful_fiber(prep: _Prepared, spec: FiberDivergence, samples, seed):
 # --- degenerate-stratum optimizer -------------------------------------
 
 
-def _conjugated_block_values(spec, C, D, l, Ts):
+def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     """Fiber values for a stack of tail unitaries T conjugating D."""
-    r, s = C.shape[0], D.shape[0]
-    k = s - r + l
+    r, s = C_invhalf.shape[0], D.shape[0]
     H = np.tile(np.eye(s, dtype=np.result_type(D, Ts)), (Ts.shape[0], 1, 1))
     H[:, r - l :, r - l :] = Ts
     Y11 = (H @ D @ np.swapaxes(H.conj(), -1, -2))[:, :r, :r]
-    return _batch_values(spec, _inv_half(C), Y11)
+    return _batch_values(spec, C_invhalf, Y11)
 
 
 def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
@@ -362,15 +396,14 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
     if mode == "faithful":
         if sigma is None:
             sigma = np.concatenate([np.full(r - l, 0.5), np.zeros(l)])
-        prep = _Prepared(r=r, s=s, sigma=np.asarray(sigma), theta=np.arccos(np.clip(sigma, 0, 1)),
-                         l=l, C=C, D=D)
-        return _faithful_fiber(prep, spec, samples or 20000, seed)
+        return _faithful_fiber(C, D, np.asarray(sigma), l, spec, samples or 20000, seed)
     if mode != "algorithm1":
         raise DomainError(f"unknown hausdorff mode {mode!r}")
 
+    Cih = _inv_half(C)
     if k == 1 and not complex_field:
         Ts = np.array([[[1.0]], [[-1.0]]])
-        return float(_conjugated_block_values(spec, C, D, l, Ts).max())
+        return float(_conjugated_block_values(spec, Cih, D, l, Ts).max())
 
     rng = np.random.default_rng(seed)
 
@@ -380,7 +413,7 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
         _random_unitaries(rng, n_coarse - 1, k, complex_field),
         np.eye(k, dtype=complex if complex_field else float)[None],
     ])
-    coarse = _conjugated_block_values(spec, C, D, l, Ts)
+    coarse = _conjugated_block_values(spec, Cih, D, l, Ts)
     order = np.argsort(coarse)[::-1]
     best = float(coarse.max())
 
@@ -402,7 +435,7 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
 
     def negobj(x, T0):
         T = make_T(x, T0)
-        return -float(_conjugated_block_values(spec, C, D, l, T[None])[0])
+        return -float(_conjugated_block_values(spec, Cih, D, l, T[None])[0])
 
     starts = [Ts[i] for i in order[: max(2, budget)]]
     for T0 in starts:
@@ -425,53 +458,67 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     if A.rank > B.rank:
         A, B = B, A  # the measurement is symmetric across unequal ranks
     tol = A.tol_rank if tol is None else tol
-    prep = _prepare(A, B, tol)
+    return _evaluate(_prepare(A, B, tol), spec, seed, budget, samples)
+
+
+def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
     gterm = grassmann_distance(spec.grassmann, prep.theta)
-
-    if prep.l == 0:
-        mu = _batch_pencil(_inv_half(prep.C), prep.D[None, : prep.r, : prep.r])[0]
-        lam = np.maximum(1.0, mu)
-        if spec.hausdorff_mode == "faithful":
-            fterm = _faithful_fiber(prep, spec.fiber, samples or 20000, seed)
-            mode = "faithfulSampled"
-        else:
-            fterm = _pair_fiber_value(spec.fiber, mu)
-            mode = "closedForm"
+    if spec.hausdorff_mode == "faithful":
+        fterm = _faithful_fiber(prep.C, prep.D, prep.sigma, prep.l, spec.fiber,
+                                samples or 20000, seed)
+        mode = "faithfulSampled"
+    elif prep.l == 0:
+        fterm = _pair_fiber_value(spec.fiber, prep.mu)
+        mode = "closedForm"
     else:
-        if spec.hausdorff_mode == "faithful":
-            fterm = _faithful_fiber(prep, spec.fiber, samples or 20000, seed)
-            mode = "faithfulSampled"
-        else:
-            fterm = gd_degenerate_fiber(prep.C, prep.D, prep.l, spec.fiber,
-                                        budget=budget, seed=seed, samples=samples)
-            mode = "optimizedDegenerate"
-        mu = _batch_pencil(_inv_half(prep.C), prep.D[None, : prep.r, : prep.r])[0]
-        lam = np.maximum(1.0, mu)
-
-    total = math.hypot(gterm, fterm)
+        fterm = gd_degenerate_fiber(prep.C, prep.D, prep.l, spec.fiber,
+                                    budget=budget, seed=seed, samples=samples)
+        mode = "optimizedDegenerate"
     return GdResult(
-        total=total,
+        total=math.hypot(gterm, fterm),
         grassmann_term=gterm,
         fiber_term=fterm,
         stratum_index=prep.l,
-        pencil_spectrum=lam,
+        pencil_spectrum=np.maximum(1.0, prep.mu),
         angles=prep.theta,
         mode=mode,
     )
 
 
-def pairwise_gram(mats, spec: MetricSpec, seed=0, **kwargs):
-    """Matrix of pairwise distances; diagonal exactly zero."""
+@contextmanager
+def _pair_context(i, j):
+    try:
+        yield
+    except DomainError as e:
+        raise DomainError(f"pair ({i}, {j}): {e}") from e
+
+
+def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None, tol=None):
+    """Matrix of pairwise distances; diagonal exactly zero.
+
+    Each unordered pair is aligned once. Pairs of unequal rank are
+    symmetric. Equal-rank pairs on the closed-form path read the reverse
+    direction off the same factorization; other equal-rank pairs evaluate
+    each direction with `gd`.
+    """
     if not mats:
         raise DomainError("empty input list")
     n = len(mats)
     out = np.zeros((n, n))
+    kw = {"seed": seed, "budget": budget, "samples": samples}
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            try:
-                out[i, j] = gd(mats[i], mats[j], spec, seed=seed, **kwargs).total
-            except DomainError as e:
-                raise DomainError(f"pair ({i}, {j}): {e}") from e
+        for j in range(i + 1, n):
+            A, B = mats[i], mats[j]
+            with _pair_context(i, j):
+                if A.rank != B.rank:
+                    out[i, j] = out[j, i] = gd(A, B, spec, tol=tol, **kw).total
+                    continue
+                prep = _prepare(A, B, A.tol_rank if tol is None else tol)
+                out[i, j] = _evaluate(prep, spec, **kw).total
+            back = prep.reversed(B.tol_rank if tol is None else tol)
+            with _pair_context(j, i):
+                if spec.hausdorff_mode == "faithful" or prep.l or back.l:
+                    out[j, i] = gd(B, A, spec, tol=tol, **kw).total
+                else:
+                    out[j, i] = _evaluate(back, spec, **kw).total
     return out

@@ -36,6 +36,8 @@ def check_hermitian(M, tol=1e-12):
     M = _as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError("matrix has non-finite entries")
     scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
     if np.abs(M - M.conj().T).max() > tol * scale:
         raise DomainError("matrix is not Hermitian at tolerance")

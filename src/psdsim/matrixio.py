@@ -72,6 +72,9 @@ def parse_matrix_text(text: str):
             raise ParseError(f"expected {per_row} values per row, found {len(vals)}")
         data.append(vals)
     arr = np.array(data, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"non-finite entry in row {lines[1 + int(np.argmin(finite))]!r}")
     if field == "complex":
         arr = arr[:, 0::2] + 1j * arr[:, 1::2]
     return arr, field

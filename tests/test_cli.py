@@ -55,6 +55,21 @@ def test_parse_errors():
             parse_matrix_text(text)
 
 
+def test_parse_rejects_non_finite_entries():
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(ps.ParseError, match="non-finite"):
+            parse_matrix_text(f"psdm real 2\n{token} 0\n0 1")
+    with pytest.raises(ps.ParseError, match="non-finite"):
+        parse_matrix_text("psdm complex 1\n1 nan")
+
+
+def test_dist_non_finite_file_exits_2(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.psdm", [[math.nan, 0.0], [0.0, 1.0]])
+    b = write_matrix(tmp_path / "b.psdm", np.eye(2))
+    code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b)
+    assert code == 2 and out == "" and "non-finite" in err
+
+
 def test_dist_self_is_zero(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", np.diag([2.0, 1.0, 0.0]))
     code, out, _ = run_cli(capsys, "dist", "--a", a, "--b", a)

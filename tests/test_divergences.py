@@ -1,6 +1,8 @@
 """Equidimensional divergence families, presets, and the spec grammar."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +158,11 @@ def test_grammar_errors():
     for bad in ("nope", "ab:1", "renyi", "kl:3", "geo+weird", "ab:x,y", "geoab:1,0.25+clamp=z"):
         with pytest.raises(ps.ParseError):
             ps.parse_divergence(bad)
+
+
+def test_readme_grammar_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r'`"([^"`]+)"`', readme) + re.findall(r"--fiber (\S+)", readme)
+    assert {"ab:1,0.5+sym", "kl+clamp=5", "geoab:1,0.25", "geo", "kl"} <= set(examples)
+    for text in examples:
+        ps.parse_divergence(text)

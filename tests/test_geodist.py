@@ -308,3 +308,71 @@ def test_result_serialization():
     assert '"mode": "optimizedDegenerate"' in text
     d = res.to_dict()
     assert d["stratum_index"] == 2 and len(d["angles"]) == 3
+
+
+def _rand_complex_psd(rng, n, r):
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(G)
+    F = (Q * (np.diagonal(R) / np.abs(np.diagonal(R))))[:, :r]
+    M = (F * rng.uniform(0.5, 2.0, size=r)) @ F.conj().T
+    return ps.PsdMatrix(0.5 * (M + M.conj().T))
+
+
+def _gram_inputs(field):
+    rng = np.random.default_rng(17)
+    if field == "complex":
+        return [_rand_complex_psd(rng, 5, r) for r in (2, 2, 3, 2)]
+    # the last two form an equal-rank pair with one right principal angle
+    degenerate = [ps.embed_pad(ps.PsdMatrix(np.diag(d)), 6)
+                  for d in ([1.0, 2.0, 0.0], [1.0, 0.0, 3.0])]
+    return [rand_psd_rank(rng, 6, r) for r in (2, 2, 3)] + degenerate
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("fiber", ["geo", "geoab:1,0.25", "kl+clamp=5"])
+def test_pairwise_gram_matches_gd_both_directions(field, fiber):
+    mats = _gram_inputs(field)
+    spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+    gram = ps.pairwise_gram(mats, spec, seed=2, budget=4)
+    strata = set()
+    for i, A in enumerate(mats):
+        for j, B in enumerate(mats):
+            if i == j:
+                continue
+            res = ps.gd(A, B, spec, seed=2, budget=4)
+            strata.add(res.stratum_index)
+            assert abs(gram[i, j] - res.total) <= 1e-12 * abs(res.total)
+            if A.rank != B.rank:
+                assert gram[i, j] == gram[j, i]
+    assert strata == ({0} if field == "complex" else {0, 1})
+    assert np.all(np.diag(gram) == 0.0)
+
+
+def test_pairwise_gram_faithful_matches_gd():
+    rng = np.random.default_rng(18)
+    mats = [rand_psd_rank(rng, 4, r) for r in (2, 2, 3)]
+    spec = ps.MetricSpec(GM.GEODESIC, FD.kl(), "faithful")
+    gram = ps.pairwise_gram(mats, spec, seed=1, samples=500)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                assert gram[i, j] == ps.gd(mats[i], mats[j], spec, seed=1, samples=500).total
+
+
+@pytest.mark.parametrize("case", ["generic", "complex", "degenerate"])
+def test_pencil_spectrum_matches_fiber_pencil(case):
+    rng = np.random.default_rng(19)
+    if case == "generic":
+        A, B = rand_psd_rank(rng, 7, 3), rand_psd_rank(rng, 7, 4)
+    elif case == "complex":
+        A, B = _rand_complex_psd(rng, 6, 3), _rand_complex_psd(rng, 6, 3)
+    else:
+        A, B = example_pair()
+    res = ps.gd(A, B, GEO_GEO, budget=2)
+    assert (res.stratum_index > 0) == (case == "degenerate")
+    system = ps.principal_system(ps.range_subspace(A), ps.range_subspace(B))
+    C = ps.fiber_representation(A, system.left_frame)
+    D = ps.fiber_representation(B, system.right_frame)
+    r = C.shape[0]
+    want = np.maximum(1.0, ps.pencil_eigenvalues(C, D[:r, :r]))
+    assert np.abs(res.pencil_spectrum - want).max() <= 1e-12 * want.max()

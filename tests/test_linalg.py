@@ -109,6 +109,15 @@ def test_psdmatrix_validation():
     assert A.rank == 2 and A.n == 3 and A.field == "real"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ps.DomainError, match="non-finite"):
+        ps.linalg.check_hermitian(M)
+    with pytest.raises(ps.DomainError, match="non-finite"):
+        ps.PsdMatrix(M)
+
+
 def test_range_subspace_of_low_rank_diagonal():
     A = ps.PsdMatrix(EXAMPLE_A)
     U = ps.range_subspace(A)
