@@ -149,7 +149,7 @@ def build_parser():
             p.add_argument("--hausdorff", choices=["algorithm1", "faithful"],
                            default="algorithm1")
             p.add_argument("--budget", type=int, default=16,
-                           help="restarts for the degenerate-stratum optimizer")
+                           help="starts of the degenerate-stratum ascent")
             p.add_argument("--samples", type=int, default=None,
                            help="ambiguity samples in faithful mode")
 

@@ -21,14 +21,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
-from .divergences import GEODESIC_AB, FiberDivergence, apply_bound, per_eigenvalue_terms
-from .errors import DomainError
+from .divergences import (
+    GEODESIC_AB,
+    FiberDivergence,
+    _g_derivative,
+    apply_bound,
+    per_eigenvalue_terms,
+)
+from .errors import DomainError, OptimizerError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import TOL_RANK, PsdMatrix, _herm, small_angles_refined
-from .pointset import _min_quadratic_box, pointset_value_from_spectrum
+from .pointset import _min_quadratic_box
 
 __all__ = [
     "MetricSpec",
@@ -188,12 +192,38 @@ def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
                      mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
-def _pair_fiber_value(spec: FiberDivergence, mu):
-    """Extended point-set fiber value from an unclamped pencil spectrum."""
+def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
+    """Pre-exponent fiber objective F of stacked descending pencil spectra.
+
+    With `with_grad`, also returns dF/dmu. For per-eigenvalue families
+    F = sum g(max(1, mu)); every family has g'(1) = 0, so F is C^1 across
+    the clamp. For the two-parameter geodesic family F is the optimal value
+    of the box QP in c = log mu, whose derivative is the KKT multiplier
+    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu.
+    """
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        c = np.log(np.asarray(mu, dtype=float))
-        return float(np.sqrt(_min_quadratic_box(spec.alpha, spec.beta, np.sort(c)[::-1])))
-    return pointset_value_from_spectrum(spec, mu).value
+        mu = np.maximum(mu, 1e-300)
+        F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
+        if not with_grad:
+            return F
+        nu = 2.0 * spec.alpha * t + 2.0 * spec.beta * np.sum(t, axis=-1, keepdims=True)
+        return F, nu / mu
+    lam = np.maximum(1.0, mu)
+    F = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
+    if not with_grad:
+        return F
+    return F, np.where(mu > 1.0, _g_derivative(spec, lam), 0.0)
+
+
+def _fiber_values(spec: FiberDivergence, F):
+    """Fiber values from objective values: outer exponent, then the bound."""
+    vals = np.where(F > 0.0, F, 0.0) ** spec.outer_exponent
+    return apply_bound(spec, vals)
+
+
+def _pair_fiber_value(spec: FiberDivergence, mu):
+    """Extended point-set fiber value from an unclamped descending pencil spectrum."""
+    return float(_fiber_values(spec, _spectrum_objective(spec, mu)))
 
 
 def _batch_pencil(X_invhalf, Y11_batch):
@@ -206,15 +236,7 @@ def _batch_pencil(X_invhalf, Y11_batch):
 
 def _batch_values(spec, X_invhalf, Y11_batch):
     mu = _batch_pencil(X_invhalf, Y11_batch)
-    mu = np.maximum(mu, 1e-300)
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        return np.array([_pair_fiber_value(spec, row) for row in mu])
-    lam = np.maximum(1.0, mu)
-    totals = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
-    vals = np.where(totals > 0.0, totals, 0.0) ** spec.outer_exponent
-    if spec.bound is not None:
-        vals = apply_bound(spec, vals)
-    return vals
+    return _fiber_values(spec, _spectrum_objective(spec, mu))
 
 
 def _inv_half(X):
@@ -376,14 +398,130 @@ def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     return _batch_values(spec, C_invhalf, Y11)
 
 
+# Riemannian ascent over the tail group: iteration cap, stopping tolerance
+# on |Omega|_F / (1 + |F|), Armijo constant and backtracking limit
+_ASCENT_MAX_ITER = 500
+_ASCENT_GTOL = 1e-7
+_ARMIJO = 1e-4
+_MAX_BACKTRACK = 30
+
+
+def _ascent_state(spec, C_invhalf, D, l, Ts):
+    """Objective F and Riemannian gradient Omega for a stack of tails T.
+
+    H = blkdiag(I, T) and E = H[:r], so W = C^{-1/2} E D E* C^{-1/2}. With
+    W = V diag(lambda) V* and G = V diag(F'(lambda)) V*, the Euclidean
+    gradient of F in E is 2 C^{-1/2} G C^{-1/2} E D; only the first l rows
+    of T enter E, so its tail block is the gradient in T. Omega =
+    skew(T* grad) is the gradient in the Lie algebra under T -> T exp(Omega).
+    """
+    r = C_invhalf.shape[0]
+    i0 = r - l
+    E = np.zeros((Ts.shape[0], r, D.shape[0]), dtype=np.result_type(D, Ts))
+    E[:, :i0, :i0] = np.eye(i0)
+    E[:, i0:, i0:] = Ts[:, :l]
+    CE = C_invhalf @ E
+    Z = CE @ D
+    W = Z @ np.swapaxes(CE.conj(), -1, -2)
+    lam, V = np.linalg.eigh(0.5 * (W + np.swapaxes(W.conj(), -1, -2)))
+    F, dF = _spectrum_objective(spec, lam[..., ::-1], with_grad=True)
+    G = (V * dF[..., ::-1][..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    grad = 2.0 * (C_invhalf @ G @ Z)[:, i0:, i0:]
+    X = np.swapaxes(Ts[:, :l].conj(), -1, -2) @ grad
+    return F, 0.5 * (X - np.swapaxes(X.conj(), -1, -2))
+
+
+def _cayley(Ts, Om):
+    """T (I - Omega/2)^{-1} (I + Omega/2): unitary for skew-Hermitian Omega."""
+    eye = np.eye(Ts.shape[-1])
+    return Ts @ np.linalg.solve(eye - 0.5 * Om, eye + 0.5 * Om)
+
+
+def _ascend(spec, C_invhalf, D, l, Ts):
+    """Batched Riemannian quasi-Newton ascent of F from every start in Ts.
+
+    The gradients Omega live in the Lie algebra of skew-Hermitian k x k
+    matrices, where left translation identifies every tangent space with
+    one inner-product space; each start keeps a BFGS inverse Hessian there,
+    first scaled by the Barzilai-Borwein step <s, y>/<y, y>. A step is the
+    Cayley retraction of the quasi-Newton direction, with per-start Armijo
+    backtracking; a start stops once |Omega|_F <= gtol (1 + |F|). Returns
+    the final stack; raises OptimizerError if no start met the rule.
+    """
+    m, k = Ts.shape[0], Ts.shape[-1]
+    Ts = Ts.copy()
+    F, Om = _ascent_state(spec, C_invhalf, D, l, Ts)
+    g = Om.reshape(m, -1).view(float)  # a view: real coordinates of Omega
+    Hinv = np.tile(np.eye(g.shape[1]), (m, 1, 1))
+    scaled = np.zeros(m, dtype=bool)
+    live = np.ones(m, dtype=bool)
+    for _ in range(_ASCENT_MAX_ITER):
+        live &= np.linalg.norm(g, axis=1) > _ASCENT_GTOL * (1.0 + np.abs(F))
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        p = np.einsum("mij,mj->mi", Hinv[idx], g[idx])
+        slope = np.sum(p * g[idx], axis=1)
+        t = np.ones(idx.size)
+        for _ in range(_MAX_BACKTRACK):
+            P = p.view(Om.dtype).reshape(-1, k, k)
+            P = 0.5 * (P - np.swapaxes(P.conj(), -1, -2))
+            T_try = _cayley(Ts[idx], t[:, None, None] * P)
+            F_try, Om_try = _ascent_state(spec, C_invhalf, D, l, T_try)
+            ok = F_try >= F[idx] + _ARMIJO * t * slope
+            acc = idx[ok]
+            if acc.size:
+                # an accepted step that leaves F unchanged is below its resolution
+                live[acc[F_try[ok] <= F[acc]]] = False
+                g_new = Om_try[ok].reshape(acc.size, -1).view(float)
+                _bfgs_update(Hinv, scaled, acc, t[ok, None] * p[ok], g[acc] - g_new)
+                Ts[acc], F[acc], Om[acc] = T_try[ok], F_try[ok], Om_try[ok]
+            # backtrack to the maximizer of the quadratic through F, the slope
+            # and F_try, kept within [0.1, 0.5] of the rejected step
+            drop = F[idx[~ok]] + t[~ok] * slope[~ok] - F_try[~ok]
+            idx, p, slope, t = idx[~ok], p[~ok], slope[~ok], t[~ok]
+            if idx.size == 0:
+                break
+            t = np.clip(0.5 * slope * t * t / drop, 0.1 * t, 0.5 * t)
+        # starts that found no ascent step sit at the resolution of F too
+        live[idx] = False
+    done = np.linalg.norm(g, axis=1) <= _ASCENT_GTOL * (1.0 + np.abs(F))
+    if not done.any():
+        raise OptimizerError(
+            f"degenerate-stratum ascent: none of {m} starts reached a stationary point")
+    return Ts
+
+
+def _bfgs_update(Hinv, scaled, idx, s, y):
+    """BFGS update of the inverse Hessians of -F at idx, for steps s and
+    gradient changes y; skipped where the curvature <s, y> is not positive."""
+    sy = np.sum(s * y, axis=1)
+    use = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+    idx, s, y, sy = idx[use], s[use], y[use], sy[use]
+    first = ~scaled[idx]
+    if first.any():
+        gamma = sy[first] / np.sum(y[first] * y[first], axis=1)
+        Hinv[idx[first]] *= gamma[:, None, None]
+        scaled[idx[first]] = True
+    H = Hinv[idx]
+    rho = 1.0 / sy
+    Hy = np.einsum("mij,mj->mi", H, y)
+    yHy = np.sum(y * Hy, axis=1)
+    H = (H - rho[:, None, None] * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
+         + (rho * rho * yHy + rho)[:, None, None] * s[:, :, None] * s[:, None, :])
+    Hinv[idx] = H
+
+
 def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
                         mode="algorithm1", seed=0, samples=None, sigma=None):
     """Fiber term on a degenerate stratum (l >= 1 right principal angles).
 
     algorithm1 mode maximizes the extended divergence over the tail
-    unitary group U(s-r+l) conjugating the larger representation;
-    faithful mode evaluates the max-min over the sampled ambiguity group.
-    Deterministic given a seed.
+    unitary group U(s-r+l) conjugating the larger representation: a
+    batched Riemannian ascent from the best max(2, budget) of 512 sampled
+    tails (over the reals with a one-dimensional tail, the two signs are
+    enumerated instead). Faithful mode evaluates the max-min over the
+    sampled ambiguity group. Deterministic given a seed.
     """
     C = np.asarray(Crep)
     D = np.asarray(Drep)
@@ -414,37 +552,9 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
         np.eye(k, dtype=complex if complex_field else float)[None],
     ])
     coarse = _conjugated_block_values(spec, Cih, D, l, Ts)
-    order = np.argsort(coarse)[::-1]
-    best = float(coarse.max())
-
-    nskew = k * k if complex_field else k * (k - 1) // 2
-
-    def make_T(x, T0):
-        K = np.zeros((k, k), dtype=complex if complex_field else float)
-        iu = np.triu_indices(k, 1)
-        m = len(iu[0])
-        K[iu] = x[:m]
-        K = K - K.T
-        if complex_field:
-            Hsym = np.zeros((k, k), dtype=complex)
-            Hsym[iu] = 1j * x[m : 2 * m]
-            Hsym = Hsym + Hsym.conj().T
-            Hsym[np.diag_indices(k)] = 1j * x[2 * m :]
-            K = K + Hsym
-        return T0 @ scipy.linalg.expm(K)
-
-    def negobj(x, T0):
-        T = make_T(x, T0)
-        return -float(_conjugated_block_values(spec, Cih, D, l, T[None])[0])
-
-    starts = [Ts[i] for i in order[: max(2, budget)]]
-    for T0 in starts:
-        res = scipy.optimize.minimize(
-            negobj, np.zeros(nskew), args=(T0,), method="L-BFGS-B",
-            options={"maxiter": 60, "ftol": 1e-14, "eps": 1e-7},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
+    final = _conjugated_block_values(spec, Cih, D, l, _ascend(spec, Cih, D, l, starts))
+    return float(max(coarse.max(), final.max()))
 
 
 # --- the distance -----------------------------------------------------

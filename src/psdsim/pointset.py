@@ -32,7 +32,7 @@ from .divergences import (
     apply_bound,
     per_eigenvalue_terms,
 )
-from .errors import DomainError
+from .errors import DomainError, OptimizerError
 from .linalg import (
     _herm,
     check_pd,
@@ -117,39 +117,40 @@ def pointset_plus(spec: FiberDivergence, C, D, with_witness=False) -> PointSetVa
 def _min_quadratic_box(alpha, beta, c):
     """Minimize alpha*sum(t^2) + beta*(sum t)^2 subject to t >= c.
 
-    c is descending; the ordering constraints of the original program are
-    implied (the objective is permutation symmetric and the descending
-    rearrangement of any feasible point is feasible). Solved exactly by
-    enumerating active sets; the problem is convex for alpha + len(c)*beta > 0.
+    c is descending along its last axis, which may carry a stack. The
+    ordering constraints of the original program are implied (the objective
+    is permutation symmetric and the descending rearrangement of any
+    feasible point is feasible). Returns (value, t): the optimal values,
+    floored at 0, and the minimizers.
+
+    At a KKT point the free variables share the value x = -beta*S/alpha
+    (S = sum t) and constraint i is active iff c_i >= x, so the active set
+    is a prefix of the descending c. Candidate j activates the first j:
+    x_j = -beta*A_j/(alpha + (r - j)*beta) with A_j = c_1 + ... + c_j. It is
+    a KKT point iff c_{j+1} <= x_j (the free variables are feasible) and
+    2*alpha*c_j + 2*beta*S_j >= 0 (the smallest active multiplier is
+    nonnegative). The scan returns the best KKT candidate, which is the
+    unique minimizer when the program is convex (alpha + r*beta > 0).
     """
     c = np.asarray(c, dtype=float)
-    r = c.size
-    if r == 0:
-        return 0.0
-    if r > 16:
-        raise DomainError("quadratic program limited to 16 variables (desk scale)")
-    best = None
-    for mask in range(1 << r):
-        active = np.array([(mask >> i) & 1 for i in range(r)], dtype=bool)
-        f = int(r - active.sum())
-        s_active = float(c[active].sum())
-        if f > 0:
-            x = -beta * s_active / (alpha + f * beta)
-            if np.any(x < c[~active] - 1e-12):
-                continue
-        else:
-            x = 0.0
-        total = s_active + f * x
-        # KKT: multipliers on active constraints must be nonnegative
-        if active.any():
-            grad_active = 2.0 * alpha * c[active] + 2.0 * beta * total
-            if np.any(grad_active < -1e-10):
-                continue
-        obj = alpha * (float(np.sum(c[active] ** 2)) + f * x**2) + beta * total**2
-        if best is None or obj < best:
-            best = obj
-    assert best is not None
-    return max(0.0, best)
+    r = c.shape[-1]
+    zero = np.zeros(c.shape[:-1] + (1,))
+    A = np.concatenate([zero, np.cumsum(c, axis=-1)], axis=-1)
+    Q = np.concatenate([zero, np.cumsum(c * c, axis=-1)], axis=-1)
+    free = r - np.arange(r + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(free > 0, -beta * A / (alpha + free * beta), 0.0)
+    S = A + free * x
+    kkt = np.ones(A.shape, dtype=bool)
+    kkt[..., :r] &= x[..., :r] >= c - 1e-12
+    kkt[..., 1:] &= 2.0 * alpha * c + 2.0 * beta * S[..., 1:] >= -1e-10
+    obj = np.where(kkt, alpha * (Q + free * x * x) + beta * S * S, np.inf)
+    j = np.argmin(obj, axis=-1)[..., None]
+    best = np.take_along_axis(obj, j, axis=-1)[..., 0]
+    if not np.all(np.isfinite(best)):
+        raise OptimizerError("two-parameter quadratic program has no KKT point")
+    t = np.where(np.arange(r) < j, c, np.take_along_axis(x, j, axis=-1))
+    return np.maximum(0.0, best), t
 
 
 def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
@@ -173,7 +174,7 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
         # minimizing over the free trailing variables in closed form leaves
         # an r-variable program with a shrunken coupling coefficient
         beta_eff = alpha * beta / (alpha + (s - r) * beta)
-    return float(np.sqrt(_min_quadratic_box(alpha, beta_eff, c)))
+    return float(np.sqrt(_min_quadratic_box(alpha, beta_eff, c)[0]))
 
 
 # --- optimal representatives -----------------------------------------

@@ -94,3 +94,37 @@ def rotated_containment_pair(rng, n, r, max_angle=1.2, pencil_lo=1.0, pencil_hi=
     Dp = Ch @ E @ Ch
     B = ps.PsdMatrix(0.5 * (u1 @ Dp @ u1.T + (u1 @ Dp @ u1.T).T))
     return A, B
+
+
+def min_quadratic_box_enumerated(alpha, beta, c):
+    """Reference for pointset._min_quadratic_box on one descending c.
+
+    Minimizes alpha*sum(t^2) + beta*(sum t)^2 subject to t >= c by trying
+    all 2^r active sets and keeping the best KKT point.
+    """
+    c = np.asarray(c, dtype=float)
+    r = c.size
+    if r == 0:
+        return 0.0
+    best = None
+    for mask in range(1 << r):
+        active = np.array([(mask >> i) & 1 for i in range(r)], dtype=bool)
+        f = int(r - active.sum())
+        s_active = float(c[active].sum())
+        if f > 0:
+            x = -beta * s_active / (alpha + f * beta)
+            if np.any(x < c[~active] - 1e-12):
+                continue
+        else:
+            x = 0.0
+        total = s_active + f * x
+        # KKT: multipliers on active constraints must be nonnegative
+        if active.any():
+            grad_active = 2.0 * alpha * c[active] + 2.0 * beta * total
+            if np.any(grad_active < -1e-10):
+                continue
+        obj = alpha * (float(np.sum(c[active] ** 2)) + f * x**2) + beta * total**2
+        if best is None or obj < best:
+            best = obj
+    assert best is not None
+    return max(0.0, best)

@@ -150,6 +150,28 @@ def test_complex_requires_flag(tmp_path, capsys):
     assert json.loads(out)["total"] == 0.0
 
 
+def test_dist_complex_degenerate_pair(tmp_path, capsys):
+    # the worked pair under a complex unitary congruence, as complex files
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    a, b = tmp_path / "a.psdm", tmp_path / "b.psdm"
+    a.write_text(format_matrix(Q @ EXAMPLE_A @ Q.conj().T))
+    b.write_text(format_matrix(Q @ EXAMPLE_B @ Q.conj().T))
+    code, out, err = run_cli(capsys, "dist", "--a", str(a), "--b", str(b), "--field", "complex")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["stratum_index"] == 2 and doc["mode"] == "optimizedDegenerate"
+    assert abs(doc["fiber_term"] ** 2 - 4 * math.log(2) ** 2) <= 1e-8
+
+
+def test_dist_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
+    a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
+    b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)
+    monkeypatch.setattr(ps.geodist, "_ASCENT_MAX_ITER", 0)
+    code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b)
+    assert code == 4 and out == "" and "error" in err
+
+
 def test_pairwise_single_file(tmp_path, capsys):
     a = write_matrix(tmp_path / "only.psdm", np.eye(2))
     code, out, _ = run_cli(capsys, "pairwise", "--inputs", a)

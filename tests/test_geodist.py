@@ -8,6 +8,8 @@ import pytest
 import psdsim as ps
 from psdsim import FiberDivergence as FD, GrassmannMetric as GM
 from helpers import (
+    EXAMPLE_A,
+    EXAMPLE_B,
     example_pair,
     family_specs,
     rand_frame,
@@ -376,3 +378,123 @@ def test_pencil_spectrum_matches_fiber_pencil(case):
     r = C.shape[0]
     want = np.maximum(1.0, ps.pencil_eigenvalues(C, D[:r, :r]))
     assert np.abs(res.pencil_spectrum - want).max() <= 1e-12 * want.max()
+
+
+# --- two-parameter fiber bounds ------------------------------------------
+
+
+def test_two_parameter_fiber_applies_bound():
+    A = ps.PsdMatrix(np.diag([1.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([9.0, 1.0]))
+
+    def fiber(text):
+        return ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(text))).fiber_term
+
+    v = fiber("geoab:1,0.25")
+    assert abs(v - math.sqrt(1.25) * math.log(9.0)) <= 1e-12
+    assert fiber("geoab:1,0.25+clamp=0.1") == 0.1
+    assert abs(fiber("geoab:1,0.25+ratio") - v / (1.0 + v)) <= 1e-15
+
+
+def test_two_parameter_degenerate_fiber_applies_bound():
+    A, B = example_pair()
+    raw = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence("geoab:1,0.25")),
+                budget=2).fiber_term
+    clamped = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence("geoab:1,0.25+clamp=0.1")),
+                    budget=2).fiber_term
+    assert raw > 0.1 and clamped == 0.1
+
+
+# --- degenerate-stratum ascent -------------------------------------------
+
+
+def _degenerate_pair(rng, n, r, s, l, complex_field=False):
+    """Ranks r <= s in F^n whose ranges have exactly l right principal angles."""
+    G = rng.normal(size=(n, n))
+    if complex_field:
+        G = G + 1j * rng.normal(size=(n, n))
+    Q, _ = np.linalg.qr(G)
+    theta = rng.uniform(0.2, 1.2, size=r - l)
+    tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
+    frames = (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]]))
+    mats = []
+    for F in frames:
+        M = (F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.conj().T
+        mats.append(ps.PsdMatrix(0.5 * (M + M.conj().T)))
+    return mats
+
+
+def test_worked_example_complex_dtype():
+    A = ps.PsdMatrix(EXAMPLE_A.astype(complex))
+    B = ps.PsdMatrix(EXAMPLE_B.astype(complex))
+    for budget in (1, 2, 16):
+        res = ps.gd(A, B, GEO_GEO, budget=budget)
+        assert res.stratum_index == 2
+        assert abs(res.fiber_term**2 - 4 * math.log(2) ** 2) <= 1e-9
+
+
+def test_real_pair_cast_to_complex_agrees():
+    rng = np.random.default_rng(22)
+    A, B = _degenerate_pair(rng, 10, 4, 5, 2)
+    Ac, Bc = (ps.PsdMatrix(M.entries.astype(complex)) for M in (A, B))
+    for fiber in ("geo", "geoab:1,0.25"):
+        spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+        real, cplx = ps.gd(A, B, spec), ps.gd(Ac, Bc, spec)
+        assert real.stratum_index == cplx.stratum_index == 2
+        assert abs(real.fiber_term - cplx.fiber_term) <= 1e-8
+
+
+def test_complex_degenerate_pairs_are_evaluated():
+    rng = np.random.default_rng(23)
+    for r, s, l in ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3)):
+        A, B = _degenerate_pair(rng, 12, r, s, l, complex_field=True)
+        for fiber in ("geo", "kl"):
+            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber)), budget=2)
+            assert res.stratum_index == l and math.isfinite(res.fiber_term)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("fiber", ["geo", "kl", "ab:0.5,0.5+sym", "geoab:1,0.25"])
+def test_ascent_gradient_matches_finite_difference(complex_field, fiber):
+    rng = np.random.default_rng(24)
+    spec = ps.parse_divergence(fiber)
+    r, s, l = 4, 5, 2
+    k = s - r + l
+    C, D = (_rand_complex_psd(rng, n, n).entries if complex_field else rand_pd(rng, n, 0.3, 3.0)
+            for n in (r, s))
+    Cih = ps.geodist._inv_half(C)
+    Ts = ps.geodist._random_unitaries(rng, 4, k, complex_field)
+    F, Om = ps.geodist._ascent_state(spec, Cih, D, l, Ts)
+    X = rng.normal(size=(4, k, k))
+    if complex_field:
+        X = X + 1j * rng.normal(size=(4, k, k))
+    xi = 0.5 * (X - np.swapaxes(X.conj(), -1, -2))
+    h = 1e-5
+    Fp, _ = ps.geodist._ascent_state(spec, Cih, D, l, ps.geodist._cayley(Ts, h * xi))
+    Fm, _ = ps.geodist._ascent_state(spec, Cih, D, l, ps.geodist._cayley(Ts, -h * xi))
+    fd = (Fp - Fm) / (2 * h)
+    analytic = np.sum((Om.conj() * xi).real, axis=(-2, -1))
+    assert np.all(np.abs(fd - analytic) <= 1e-6 * np.abs(analytic))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_degenerate_sup_unitary_congruence_invariance(complex_field):
+    rng = np.random.default_rng(25)
+    A, B = _degenerate_pair(rng, 8, 3, 5, 2, complex_field)
+    G = rng.normal(size=(8, 8)) + (1j * rng.normal(size=(8, 8)) if complex_field else 0.0)
+    Q, _ = np.linalg.qr(G)
+    QA, QB = (ps.PsdMatrix(Q @ M.entries @ Q.conj().T) for M in (A, B))
+    # at the default budget of 16 every start of one side can sit in the basin
+    # of a lower local maximum (real case: 0.79338 against 0.79696)
+    for fiber in ("geo", "kl"):
+        spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+        a, b = ps.gd(A, B, spec, budget=64), ps.gd(QA, QB, spec, budget=64)
+        assert a.stratum_index == b.stratum_index == 2
+        assert abs(a.fiber_term - b.fiber_term) <= 1e-8
+
+
+def test_ascent_iteration_cap_raises_optimizer_error(monkeypatch):
+    A, B = example_pair()
+    monkeypatch.setattr(ps.geodist, "_ASCENT_MAX_ITER", 0)
+    with pytest.raises(ps.OptimizerError):
+        ps.gd(A, B, GEO_GEO, budget=2)

@@ -7,7 +7,7 @@ import pytest
 
 import psdsim as ps
 from psdsim import FiberDivergence as FD
-from helpers import family_specs, rand_pd
+from helpers import family_specs, min_quadratic_box_enumerated, rand_pd, rand_psd_rank
 
 
 def rand_pair(rng, r, s, lo=0.5, hi=2.5):
@@ -147,6 +147,34 @@ def test_qp_parameter_region():
         ps.alpha_beta_pointset(C, D, -1.0, 0.0)
     with pytest.raises(ps.DomainError):
         ps.alpha_beta_pointset(C, D, 1.0, -0.6)
+
+
+def test_qp_prefix_scan_matches_enumeration():
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        r = int(rng.integers(1, 11))
+        alpha = float(rng.uniform(0.2, 3.0))
+        beta = float(rng.uniform(-0.95 * alpha / r, 2.0 * alpha))
+        c = np.sort(rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=r))[::-1]
+        want = min_quadratic_box_enumerated(alpha, beta, c)
+        got, t = ps.pointset._min_quadratic_box(alpha, beta, c)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+        assert np.all(t >= c - 1e-12)
+        assert abs(alpha * np.sum(t * t) + beta * t.sum() ** 2 - got) <= 1e-12 * max(1.0, got)
+    # a stack of programs is solved row by row
+    c = -np.sort(-rng.normal(size=(50, 6)), axis=-1)
+    got, _ = ps.pointset._min_quadratic_box(1.0, -0.1, c)
+    want = [min_quadratic_box_enumerated(1.0, -0.1, row) for row in c]
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, max(want))
+
+
+def test_two_parameter_fiber_above_rank_16():
+    # the enumeration refused more than 16 variables; the scan has no cap
+    rng = np.random.default_rng(21)
+    A, B = rand_psd_rank(rng, 60, 20), rand_psd_rank(rng, 60, 20)
+    spec = ps.MetricSpec(ps.GrassmannMetric.GEODESIC, ps.parse_divergence("geoab:1,0.25"))
+    res = ps.gd(A, B, spec)
+    assert res.mode == "closedForm" and math.isfinite(res.fiber_term) and res.fiber_term > 0.0
 
 
 # --- optimal representatives ------------------------------------------
