@@ -16,15 +16,21 @@ from .errors import DomainError, OptimizerError, ParseError
 from .geodist import MetricSpec, gd, pairwise_gram
 from .geometry import parallel_transport, subspace_geodesic
 from .grassmann import GrassmannMetric
-from .linalg import TOL_PSD, TOL_RANK, PsdMatrix, Subspace, check_pd, range_subspace
+from .linalg import TOL_PSD, TOL_RANK, PsdMatrix, Subspace, range_subspace
 from .matrixio import format_matrix, parse_matrix_file
-from .pointset import lift_plus, pointset_minus, pointset_plus, project_minus
+from .pointset import pointset_minus, pointset_plus
+
+
+def _read_matrix(path, args):
+    """Entries of a matrix file; complex files need `--field complex`."""
+    entries, field = parse_matrix_file(path)
+    if field == "complex" and args.field != "complex":
+        raise ParseError(f"{path}: complex input requires --field complex")
+    return entries
 
 
 def _load_psd(path, args):
-    entries, field = parse_matrix_file(path)
-    if field == "complex" and getattr(args, "field", "real") != "complex":
-        raise ParseError(f"{path}: complex input requires --field complex")
+    entries = _read_matrix(path, args)
     try:
         return PsdMatrix(entries,
                          tol_rank=getattr(args, "tol", None) or TOL_RANK,
@@ -94,28 +100,19 @@ def cmd_pairwise(args):
 
 
 def cmd_project_lift(args):
-    C, _ = parse_matrix_file(args.c)
-    D, _ = parse_matrix_file(args.d)
-    check_pd(C, name="C")
-    check_pd(D, name="D")
+    C = _read_matrix(args.c, args)
+    D = _read_matrix(args.d, args)
     spec = parse_divergence(args.fiber)
-    if args.which == "minus":
-        witness = project_minus(C, D).dminus
-        value = pointset_minus(spec, C, D).value
-    else:
-        witness = lift_plus(C, D).cplus
-        value = pointset_plus(spec, C, D).value
-    sys.stdout.write(format_matrix(witness))
-    sys.stdout.write('{"side": "%s", "value": %.17g}\n' % (args.which, value))
+    side = pointset_minus if args.which == "minus" else pointset_plus
+    out = side(spec, C, D, with_witness=True)
+    sys.stdout.write(format_matrix(out.witness))
+    sys.stdout.write('{"side": "%s", "value": %.17g}\n' % (args.which, out.value))
     return 0
 
 
 def cmd_transport(args):
     A = _load_psd(args.a, args)
-    frame, field = parse_matrix_file(args.target)
-    if field == "complex" and args.field != "complex":
-        raise ParseError(f"{args.target}: complex input requires --field complex")
-    target = Subspace(frame)
+    target = Subspace(_read_matrix(args.target, args))
     if target.r != A.rank:
         raise DomainError(
             f"target frame dimension {target.r} does not match rank(A) = {A.rank}")

@@ -159,7 +159,7 @@ def per_eigenvalue_terms(spec: FiberDivergence, lam):
 
 
 def _g_derivative(spec: FiberDivergence, lam):
-    """d g / d lambda, matching per_eigenvalue_terms (used by oracles)."""
+    """d g / d lambda, matching per_eigenvalue_terms."""
     lam = np.asarray(lam, dtype=float)
 
     def raw(x):
@@ -198,17 +198,36 @@ def apply_bound(spec: FiberDivergence, value):
     return min(spec.bound[1], value)
 
 
+def _objective(spec: FiberDivergence, lam, with_grad=False):
+    """Pre-exponent objective Phi of stacked spectra (last axis), unclamped.
+
+    Phi = sum g(lambda) for per-eigenvalue families and
+    alpha*sum(log^2) + beta*(sum log)^2 for the two-parameter geodesic
+    family. With `with_grad`, also returns dPhi/dlambda.
+    """
+    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+        log = np.log(lam)
+        S = np.sum(log, axis=-1)
+        phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * S**2
+        if not with_grad:
+            return phi
+        return phi, (2.0 * spec.alpha * log + 2.0 * spec.beta * S[..., None]) / lam
+    phi = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
+    if not with_grad:
+        return phi
+    return phi, _g_derivative(spec, lam)
+
+
+def _fiber_values(spec: FiberDivergence, phi):
+    """Values from objective values: outer exponent, then the bound."""
+    vals = np.where(phi > 0.0, phi, 0.0) ** spec.outer_exponent
+    return apply_bound(spec, vals)
+
+
 def value_from_spectrum(spec: FiberDivergence, lam) -> float:
     """Divergence value from the pencil spectrum lambda_i(X^{-1}Y)."""
     lam = np.asarray(lam, dtype=float)
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        log = np.log(lam)
-        sq = spec.alpha * float(np.sum(log**2)) + spec.beta * float(np.sum(log)) ** 2
-        value = float(np.sqrt(max(0.0, sq)))  # symmetric in lam -> 1/lam already
-    else:
-        total = float(np.sum(per_eigenvalue_terms(spec, lam)))
-        value = total**spec.outer_exponent if total > 0.0 else 0.0
-    return apply_bound(spec, value)
+    return float(_fiber_values(spec, _objective(spec, lam)))
 
 
 def divergence(spec: FiberDivergence, X, Y) -> float:

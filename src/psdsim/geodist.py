@@ -22,17 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import (
-    GEODESIC_AB,
-    FiberDivergence,
-    _g_derivative,
-    apply_bound,
-    per_eigenvalue_terms,
-)
+from .divergences import FiberDivergence, _fiber_values
 from .errors import DomainError, OptimizerError
 from .grassmann import GrassmannMetric, grassmann_distance
-from .linalg import TOL_RANK, PsdMatrix, _herm, small_angles_refined
-from .pointset import _min_quadratic_box
+from .linalg import TOL_RANK, PsdMatrix, _herm, _inv_half, pencil_spectra, small_angles_refined
+from .pointset import _spectrum_objective
 
 __all__ = [
     "MetricSpec",
@@ -192,58 +186,9 @@ def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
                      mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
-def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
-    """Pre-exponent fiber objective F of stacked descending pencil spectra.
-
-    With `with_grad`, also returns dF/dmu. For per-eigenvalue families
-    F = sum g(max(1, mu)); every family has g'(1) = 0, so F is C^1 across
-    the clamp. For the two-parameter geodesic family F is the optimal value
-    of the box QP in c = log mu, whose derivative is the KKT multiplier
-    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu.
-    """
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        mu = np.maximum(mu, 1e-300)
-        F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
-        if not with_grad:
-            return F
-        nu = 2.0 * spec.alpha * t + 2.0 * spec.beta * np.sum(t, axis=-1, keepdims=True)
-        return F, nu / mu
-    lam = np.maximum(1.0, mu)
-    F = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
-    if not with_grad:
-        return F
-    return F, np.where(mu > 1.0, _g_derivative(spec, lam), 0.0)
-
-
-def _fiber_values(spec: FiberDivergence, F):
-    """Fiber values from objective values: outer exponent, then the bound."""
-    vals = np.where(F > 0.0, F, 0.0) ** spec.outer_exponent
-    return apply_bound(spec, vals)
-
-
-def _pair_fiber_value(spec: FiberDivergence, mu):
-    """Extended point-set fiber value from an unclamped descending pencil spectrum."""
-    return float(_fiber_values(spec, _spectrum_objective(spec, mu)))
-
-
-def _batch_pencil(X_invhalf, Y11_batch):
-    """Descending pencil spectra of X^{-1} Y11 for a stack of Y11 blocks."""
-    W = X_invhalf @ Y11_batch @ X_invhalf.conj().T
-    W = 0.5 * (W + np.swapaxes(W.conj(), -1, -2))
-    lam = np.linalg.eigvalsh(W)
-    return lam[..., ::-1]
-
-
 def _batch_values(spec, X_invhalf, Y11_batch):
-    mu = _batch_pencil(X_invhalf, Y11_batch)
-    return _fiber_values(spec, _spectrum_objective(spec, mu))
-
-
-def _inv_half(X):
-    lam, V = np.linalg.eigh(_herm(X))
-    if lam[0] <= 0.0:
-        raise DomainError("fiber representation not positive definite")
-    return (V / np.sqrt(lam)) @ V.conj().T
+    """Fiber values of the pencils X^{-1} Y11 for a stack of Y11 blocks."""
+    return _fiber_values(spec, _spectrum_objective(spec, pencil_spectra(X_invhalf, Y11_batch)))
 
 
 # --- ambiguity group sampling -----------------------------------------
@@ -275,10 +220,6 @@ def _random_unitaries(rng, count, k, complex_field):
     return Q * d[..., None, :]
 
 
-def _random_unitary(rng, k, complex_field):
-    return _random_unitaries(rng, 1, k, complex_field)[0]
-
-
 def _tail_unitaries(rng, count, k, complex_field):
     """Sample U(k)/O(k): quasi-uniform grids for tiny real blocks, random QR else."""
     if k == 0:
@@ -308,6 +249,30 @@ def _sample_group(rng, k_extra, count, complex_field, r_total):
     return out
 
 
+def _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field):
+    """One draw of the principal-basis ambiguity group, as stacked frames.
+
+    A unitary P acting on each run of equal singular values, shared by the
+    (n_s, r, r) left frames blkdiag(P, S) and the (n_t, s, s) right frames
+    blkdiag(P, T); S acts on the l right-angle rows of the left frame, T on
+    the s - r + l trailing rows of the right frame. Element 0 of the left
+    stack has S = I, and element 0 of the right stack has T = I.
+    """
+    P = np.eye(r - l, dtype=complex if complex_field else float)
+    for (i, j) in blocks:
+        P[i:j, i:j] = _random_unitaries(rng, 1, j - i, complex_field)[0]
+    Gs = _sample_group(rng, l, n_s, complex_field, r)
+    Gs[:, : r - l, : r - l] = P
+    Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
+    Ht[:, : r - l, : r - l] = P
+    return Gs, Ht
+
+
+def _congruence(G, M):
+    """G M G* for a frame or a stack of frames G."""
+    return G @ M @ np.swapaxes(G.conj(), -1, -2)
+
+
 def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=0):
     """Sampled fiber-representation pairs over the principal-basis ambiguity.
 
@@ -327,24 +292,8 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=
     n_t = max(1, grid // max(1, n_p * n_s))
     pairs = []
     for _ in range(n_p):
-        P = np.eye(r - l, dtype=complex if complex_field else float)
-        for (i, j) in blocks:
-            P[i:j, i:j] = _random_unitary(rng, j - i, complex_field)
-        xs = []
-        for _ in range(n_s):
-            G = np.eye(r, dtype=P.dtype)
-            G[: r - l, : r - l] = P
-            if l:
-                G[r - l :, r - l :] = _random_unitary(rng, l, complex_field)
-            xs.append(_herm(G @ prep.C @ G.conj().T))
-        ys = []
-        for _ in range(n_t):
-            H = np.eye(s, dtype=P.dtype)
-            H[: r - l, : r - l] = P
-            k = s - r + l
-            if k:
-                H[r - l :, r - l :] = _random_unitary(rng, k, complex_field)
-            ys.append(_herm(H @ prep.D @ H.conj().T))
+        Gs, Ht = _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field)
+        xs, ys = list(_herm(_congruence(Gs, prep.C))), list(_herm(_congruence(Ht, prep.D)))
         pairs.extend((x, y) for x in xs for y in ys)
     return pairs
 
@@ -364,20 +313,10 @@ def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
 
     d1 = -np.inf
     d2 = -np.inf
-    eye_r = np.eye(r, dtype=complex if complex_field else float)
-    eye_s = np.eye(s, dtype=complex if complex_field else float)
     for _ in range(n_p):
-        P = np.eye(r - l, dtype=eye_r.dtype)
-        for (i, j) in blocks:
-            P[i:j, i:j] = _random_unitary(rng, j - i, complex_field)
-        # S factors act on the last l rows of the left frame
-        Gs = _sample_group(rng, l, n_s if l else 1, complex_field, r)
-        Gs[:, : r - l, : r - l] = P
-        Xs = Gs @ C @ np.swapaxes(Gs.conj(), -1, -2)
-        # T factors act on the last s - r + l rows of the right frame
-        Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
-        Ht[:, : r - l, : r - l] = P
-        Y11 = (Ht @ D @ np.swapaxes(Ht.conj(), -1, -2))[:, :r, :r]
+        Gs, Ht = _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field)
+        Xs = _congruence(Gs, C)
+        Y11 = _congruence(Ht, D)[:, :r, :r]
         vals = np.empty((Xs.shape[0], n_t))
         for i in range(Xs.shape[0]):
             vals[i] = _batch_values(spec, _inv_half(Xs[i]), Y11)
@@ -394,7 +333,7 @@ def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     r, s = C_invhalf.shape[0], D.shape[0]
     H = np.tile(np.eye(s, dtype=np.result_type(D, Ts)), (Ts.shape[0], 1, 1))
     H[:, r - l :, r - l :] = Ts
-    Y11 = (H @ D @ np.swapaxes(H.conj(), -1, -2))[:, :r, :r]
+    Y11 = _congruence(H, D)[:, :r, :r]
     return _batch_values(spec, C_invhalf, Y11)
 
 
@@ -512,16 +451,14 @@ def _bfgs_update(Hinv, scaled, idx, s, y):
     Hinv[idx] = H
 
 
-def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
-                        mode="algorithm1", seed=0, samples=None, sigma=None):
+def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0):
     """Fiber term on a degenerate stratum (l >= 1 right principal angles).
 
-    algorithm1 mode maximizes the extended divergence over the tail
-    unitary group U(s-r+l) conjugating the larger representation: a
+    Maximizes the extended divergence over the tail unitary group
+    U(s-r+l) conjugating the larger representation (algorithm1): a
     batched Riemannian ascent from the best max(2, budget) of 512 sampled
     tails (over the reals with a one-dimensional tail, the two signs are
-    enumerated instead). Faithful mode evaluates the max-min over the
-    sampled ambiguity group. Deterministic given a seed.
+    enumerated instead). Deterministic given a seed.
     """
     C = np.asarray(Crep)
     D = np.asarray(Drep)
@@ -530,13 +467,6 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16,
         raise DomainError("degenerate evaluator needs l >= 1 and r <= s")
     k = s - r + l
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
-
-    if mode == "faithful":
-        if sigma is None:
-            sigma = np.concatenate([np.full(r - l, 0.5), np.zeros(l)])
-        return _faithful_fiber(C, D, np.asarray(sigma), l, spec, samples or 20000, seed)
-    if mode != "algorithm1":
-        raise DomainError(f"unknown hausdorff mode {mode!r}")
 
     Cih = _inv_half(C)
     if k == 1 and not complex_field:
@@ -578,11 +508,11 @@ def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdRes
                                 samples or 20000, seed)
         mode = "faithfulSampled"
     elif prep.l == 0:
-        fterm = _pair_fiber_value(spec.fiber, prep.mu)
+        fterm = float(_fiber_values(spec.fiber, _spectrum_objective(spec.fiber, prep.mu)))
         mode = "closedForm"
     else:
         fterm = gd_degenerate_fiber(prep.C, prep.D, prep.l, spec.fiber,
-                                    budget=budget, seed=seed, samples=samples)
+                                    budget=budget, seed=seed)
         mode = "optimizedDegenerate"
     return GdResult(
         total=math.hypot(gterm, fterm),

@@ -69,12 +69,17 @@ def compact_svd(A, tol=TOL_RANK):
     return U[:, :k], s[:k], Vh[:k].conj().T
 
 
+def _eig_power(w, V, p):
+    """V diag(w**p) V*, exactly Hermitian, from an eigensystem."""
+    return _herm((V * w**p) @ V.conj().T)
+
+
 def psd_power(M, p, tol=TOL_RANK):
     """M**p for positive definite M through the eigendecomposition."""
     w, V = hermitian_eig(M)
     if w.size == 0 or w[-1] <= tol * max(w[0], 0.0) or w[-1] <= 0.0:
         raise DomainError("psd_power requires a positive definite matrix")
-    return _herm((V * w**p) @ V.conj().T)
+    return _eig_power(w, V, p)
 
 
 def check_pd(M, tol=TOL_RANK, name="matrix"):
@@ -83,6 +88,37 @@ def check_pd(M, tol=TOL_RANK, name="matrix"):
     if w.size == 0 or w[-1] <= tol * max(w[0], 0.0) or w[-1] <= 0.0:
         raise DomainError(f"{name} is not positive definite at tolerance")
     return _herm(_as_array(M)), w, V
+
+
+def _inv_half_from(w, V):
+    """X^{-1/2} = V diag(w^{-1/2}) V* from the eigensystem of X."""
+    return (V / np.sqrt(w)) @ V.conj().T
+
+
+def _inv_half(X):
+    """X^{-1/2} of a positive definite Hermitian X, from one eigh."""
+    lam, V = np.linalg.eigh(_herm(X))
+    if lam[0] <= 0.0:
+        raise DomainError("fiber representation not positive definite")
+    return _inv_half_from(lam, V)
+
+
+def pencil_spectra(X_invhalf, Y):
+    """Descending spectra of X^{-1} Y from X^{-1/2}, for Y or a stack of Y.
+
+    Every pencil spectrum in the package comes from here: one (stacked)
+    eigvalsh of X^{-1/2} Y X^{-1/2}.
+    """
+    W = X_invhalf @ Y @ X_invhalf.conj().T
+    return np.linalg.eigvalsh(_herm(W))[..., ::-1]
+
+
+def _pencil_from_eig(w, V, Y):
+    """Pencil spectrum of X^{-1} Y for X given by its eigensystem (w, V)."""
+    lam = pencil_spectra(_inv_half_from(w, V), Y).copy()
+    if lam[-1] <= 0.0:
+        raise DomainError("pencil right argument is not positive definite")
+    return lam
 
 
 def pencil_eigenvalues(X, Y, tol=TOL_RANK):
@@ -95,13 +131,7 @@ def pencil_eigenvalues(X, Y, tol=TOL_RANK):
     if X.shape != Y.shape:
         raise DomainError(f"pencil size mismatch: {X.shape} vs {Y.shape}")
     _, wx, Vx = check_pd(X, tol=tol, name="pencil left argument")
-    Y = check_hermitian(Y)
-    Xih = (Vx / np.sqrt(wx)) @ Vx.conj().T
-    lam = np.linalg.eigvalsh(_herm(Xih @ Y @ Xih))
-    lam = lam[::-1].copy()
-    if lam[-1] <= 0.0:
-        raise DomainError("pencil right argument is not positive definite")
-    return lam
+    return _pencil_from_eig(wx, Vx, check_hermitian(Y))
 
 
 @dataclass

@@ -23,21 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .divergences import (
-    GEODESIC_AB,
-    FiberDivergence,
-    _g_derivative,
-    apply_bound,
-    per_eigenvalue_terms,
-)
+from .divergences import GEODESIC_AB, FiberDivergence, _fiber_values, _objective
 from .errors import DomainError, OptimizerError
 from .linalg import (
+    _eig_power,
     _herm,
+    _pencil_from_eig,
     check_pd,
     hermitian_eig,
     pencil_eigenvalues,
+    pencil_spectra,
     psd_power,
 )
 
@@ -65,12 +61,13 @@ class LiftWitness:
 
 
 def _check_pair(C, D):
-    C, _, _ = check_pd(C, name="C")
+    """Validated (C, D, r, s, (w, V)) with (w, V) the eigensystem of C."""
+    C, w, V = check_pd(C, name="C")
     D, _, _ = check_pd(D, name="D")
     r, s = C.shape[0], D.shape[0]
     if r > s:
         raise DomainError(f"point-set extension needs r <= s, got r={r}, s={s}")
-    return C, D, r, s
+    return C, D, r, s, (w, V)
 
 
 def _reject_two_parameter(spec):
@@ -85,29 +82,25 @@ def pointset_value_from_spectrum(spec: FiberDivergence, mu, side="minus") -> Poi
     """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11)."""
     _reject_two_parameter(spec)
     mu = np.asarray(mu, dtype=float)
-    lam = np.maximum(1.0, mu)
-    total = float(np.sum(per_eigenvalue_terms(spec, lam)))
-    value = total**spec.outer_exponent if total > 0.0 else 0.0
-    return PointSetValue(apply_bound(spec, value), side, lam)
+    value = float(_fiber_values(spec, _spectrum_objective(spec, mu)))
+    return PointSetValue(value, side, np.maximum(1.0, mu))
 
 
 def pointset_minus(spec: FiberDivergence, C, D, with_witness=False) -> PointSetValue:
     """min over X in Omega_minus(D) of divergence(spec, C, X)."""
-    C, D, r, s = _check_pair(C, D)
-    mu = pencil_eigenvalues(C, D[:r, :r])
-    out = pointset_value_from_spectrum(spec, mu, side="minus")
+    C, D, r, s, eigC = _check_pair(C, D)
+    out = pointset_value_from_spectrum(spec, _pencil_from_eig(*eigC, D[:r, :r]), side="minus")
     if with_witness:
-        out.witness = project_minus(C, D).dminus
+        out.witness = _project_minus(C, D, r, eigC).dminus
     return out
 
 
 def pointset_plus(spec: FiberDivergence, C, D, with_witness=False) -> PointSetValue:
     """min over Y in Omega_plus(C) of divergence(spec, Y, D); equals the minus side."""
-    C, D, r, s = _check_pair(C, D)
-    mu = pencil_eigenvalues(C, D[:r, :r])
-    out = pointset_value_from_spectrum(spec, mu, side="plus")
+    C, D, r, s, eigC = _check_pair(C, D)
+    out = pointset_value_from_spectrum(spec, _pencil_from_eig(*eigC, D[:r, :r]), side="plus")
     if with_witness:
-        out.witness = lift_plus(C, D).cplus
+        out.witness = _lift_plus(C, D, r, s).cplus
     return out
 
 
@@ -153,6 +146,29 @@ def _min_quadratic_box(alpha, beta, c):
     return np.maximum(0.0, best), t
 
 
+def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
+    """Pre-exponent point-set objective F of stacked descending pencil spectra.
+
+    With `with_grad`, also returns dF/dmu. For per-eigenvalue families
+    F = Phi(max(1, mu)); every family has g'(1) = 0, so F is C^1 across
+    the clamp. For the two-parameter geodesic family F is the optimal value
+    of the box QP in c = log mu, whose derivative is the KKT multiplier
+    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu.
+    """
+    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+        mu = np.maximum(mu, 1e-300)
+        F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
+        if not with_grad:
+            return F
+        nu = 2.0 * spec.alpha * t + 2.0 * spec.beta * np.sum(t, axis=-1, keepdims=True)
+        return F, nu / mu
+    lam = np.maximum(1.0, mu)
+    if not with_grad:
+        return _objective(spec, lam)
+    F, dF = _objective(spec, lam, with_grad=True)
+    return F, np.where(mu > 1.0, dF, 0.0)
+
+
 def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     """Point-set value of the two-parameter geodesic family.
 
@@ -162,12 +178,12 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     square root of the optimal value. plus <= minus always, with equality
     iff beta = 0 or r = s.
     """
-    C, D, r, s = _check_pair(C, D)
+    C, D, r, s, eigC = _check_pair(C, D)
     if not (alpha > 0.0 and beta > -alpha / s):
         raise DomainError("parameter region requires alpha > 0 and beta > -alpha/s")
     if side not in ("minus", "plus"):
         raise DomainError(f"unknown side {side!r}")
-    c = np.log(pencil_eigenvalues(C, D[:r, :r]))
+    c = np.log(_pencil_from_eig(*eigC, D[:r, :r]))
     if side == "minus":
         beta_eff = beta
     else:
@@ -182,10 +198,14 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
 
 def project_minus(C, D) -> ProjectionWitness:
     """The unique point of Omega_minus(D) closest to C, for every family."""
-    C, D, r, s = _check_pair(C, D)
+    C, D, r, s, eigC = _check_pair(C, D)
+    return _project_minus(C, D, r, eigC)
+
+
+def _project_minus(C, D, r, eigC):
     D11 = D[:r, :r]
-    Chalf = psd_power(C, 0.5)
-    Cih = psd_power(C, -0.5)
+    Chalf = _eig_power(*eigC, 0.5)
+    Cih = _eig_power(*eigC, -0.5)
     lam_raw, V = hermitian_eig(_herm(Cih @ D11 @ Cih))
     lam = np.maximum(1.0, lam_raw)
     if np.all(lam_raw >= 1.0):
@@ -195,9 +215,8 @@ def project_minus(C, D) -> ProjectionWitness:
     return ProjectionWitness(dminus=dminus, lam=lam, Q=V.conj().T)
 
 
-def _whitening(C, D):
+def _whitening(C, D, r, s):
     """Internal: (Z, lam) with Z D Z* = I_s and lam = lambda(D11^{-1}C) descending."""
-    C, D, r, s = _check_pair(C, D)
     D11 = D[:r, :r]
     Dih = psd_power(D11, -0.5)
     lam, V = hermitian_eig(_herm(Dih @ C @ Dih))
@@ -218,14 +237,18 @@ def _whitening(C, D):
 
 def whitening_factor(C, D) -> np.ndarray:
     """Block factor Z with Z D Z* = I_s, mapping Omega_plus(C) onto Omega_plus(Sigma)."""
-    Z, _ = _whitening(C, D)
-    return Z
+    C, D, r, s, _ = _check_pair(C, D)
+    return _whitening(C, D, r, s)[0]
 
 
 def lift_plus(C, D) -> LiftWitness:
     """The unique point of Omega_plus(C) closest to D, for every family."""
-    C, D, r, s = _check_pair(C, D)
-    Z, lam_raw = _whitening(C, D)
+    C, D, r, s, _ = _check_pair(C, D)
+    return _lift_plus(C, D, r, s)
+
+
+def _lift_plus(C, D, r, s):
+    Z, lam_raw = _whitening(C, D, r, s)
     lam = np.concatenate([np.minimum(1.0, lam_raw), np.ones(s - r)])
     if np.all(lam_raw >= 1.0):
         cplus = D.copy()
@@ -238,35 +261,22 @@ def lift_plus(C, D) -> LiftWitness:
 # --- independent verification oracle ---------------------------------
 
 
-def _phi_and_grad(spec, lam):
-    """Pre-exponent objective Phi(lambda) and its eigenvalue gradient."""
-    lam = np.asarray(lam, dtype=float)
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        log = np.log(lam)
-        phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * np.sum(log, axis=-1) ** 2
-        grad = (2.0 * spec.alpha * log + 2.0 * spec.beta * np.sum(log, axis=-1, keepdims=True)) / lam
-        return phi, grad
+def _oracle_objective(spec, lam, with_grad=False):
+    """Phi (and its gradient) of spectra floored at 1e-300, warnings off."""
     with np.errstate(all="ignore"):
-        terms = per_eigenvalue_terms(spec, np.maximum(lam, 1e-300))
-        grad = _g_derivative(spec, np.maximum(lam, 1e-300))
-    return np.sum(terms, axis=-1), grad
-
-
-def _finalize(spec, phi):
-    value = phi**spec.outer_exponent if phi > 0.0 else 0.0
-    return apply_bound(spec, float(value))
+        return _objective(spec, np.maximum(lam, 1e-300), with_grad)
 
 
 def _phi_batch(spec, lam):
     """Phi for a (B, r) stack of spectra, +inf where the domain is violated."""
     try:
-        phi, _ = _phi_and_grad(spec, lam)
+        phi = _oracle_objective(spec, lam)
     except DomainError:
         # per-row domain violations: fall back to a python loop
         phi = np.empty(lam.shape[0])
         for i in range(lam.shape[0]):
             try:
-                phi[i], _ = _phi_and_grad(spec, lam[i])
+                phi[i] = _oracle_objective(spec, lam[i])
             except DomainError:
                 phi[i] = np.inf
         return phi
@@ -275,10 +285,11 @@ def _phi_batch(spec, lam):
     return phi
 
 
-def _oracle_minus(spec, C, D11, budget, seed):
+def _oracle_minus(spec, Cih, D11, budget, seed):
     """Multi-start descent over X = D11 + L L', L lower triangular."""
-    r = C.shape[0]
-    Cih = psd_power(C, -0.5)
+    import scipy.optimize  # only the oracle needs scipy; keep it off the package import
+
+    r = D11.shape[0]
     rng = np.random.default_rng(seed)
     tril = np.tril_indices(r)
     nb = max(2, int(budget))
@@ -290,10 +301,7 @@ def _oracle_minus(spec, C, D11, budget, seed):
         L[i][tril] = G[tril]
 
     def f_batch(Lb):
-        X = D11 + Lb @ np.swapaxes(Lb, -1, -2)
-        W = Cih @ X @ Cih
-        lam = np.linalg.eigvalsh(_herm(W))
-        return _phi_batch(spec, lam)
+        return _phi_batch(spec, pencil_spectra(Cih, D11 + Lb @ np.swapaxes(Lb, -1, -2)))
 
     def f_grad_single(lvec):
         Lm = np.zeros((r, r))
@@ -301,7 +309,7 @@ def _oracle_minus(spec, C, D11, budget, seed):
         X = D11 + Lm @ Lm.T
         lam, V = np.linalg.eigh(_herm(Cih @ X @ Cih))
         try:
-            phi, dphi = _phi_and_grad(spec, lam)
+            phi, dphi = _oracle_objective(spec, lam, with_grad=True)
         except DomainError:
             return 1e12, np.zeros_like(lvec)
         if not np.isfinite(phi):
@@ -319,7 +327,7 @@ def _oracle_minus(spec, C, D11, budget, seed):
         X = D11 + L @ np.swapaxes(L, -1, -2)
         lam, V = np.linalg.eigh(_herm(Cih @ X @ Cih))
         try:
-            _, dphi = _phi_and_grad(spec, lam)
+            _, dphi = _oracle_objective(spec, lam, with_grad=True)
         except DomainError:
             dphi = np.zeros_like(lam)
         Gx = Cih @ ((V * dphi[..., None, :]) @ np.swapaxes(V, -1, -2)) @ Cih
@@ -347,17 +355,18 @@ def _oracle_minus(spec, C, D11, budget, seed):
         )
         best = min(best, float(res.fun))
     best = min(best, float(fval.min()))
-    return _finalize(spec, best)
+    return float(_fiber_values(spec, best))
 
 
-def _oracle_plus(spec, C, D, budget, seed):
+def _oracle_plus(spec, Chalf, D, budget, seed):
     """Multi-start search over Y with Y11 <= C, via smooth factors.
 
     Y11 = C^{1/2} (I + E E')^{-1} C^{1/2} sweeps all PD blocks below C;
     the off-diagonal block and the Schur complement of Y are free factors.
     """
-    r, s = C.shape[0], D.shape[0]
-    Chalf = psd_power(C, 0.5)
+    import scipy.optimize  # only the oracle needs scipy; keep it off the package import
+
+    r, s = Chalf.shape[0], D.shape[0]
     rng = np.random.default_rng(seed)
     k = s - r
     tril = np.tril_indices(k)
@@ -385,7 +394,7 @@ def _oracle_plus(spec, C, D, budget, seed):
         if lam[0] <= 0.0:
             return 1e12
         try:
-            phi, _ = _phi_and_grad(spec, pencil_eigenvalues(Y, D))
+            phi = _oracle_objective(spec, pencil_eigenvalues(Y, D))
         except DomainError:
             return 1e12
         return float(phi) if np.isfinite(phi) else 1e12
@@ -401,7 +410,7 @@ def _oracle_plus(spec, C, D, budget, seed):
             options={"maxiter": 300, "ftol": 1e-15},
         )
         best = min(best, float(res.fun))
-    return _finalize(spec, best)
+    return float(_fiber_values(spec, best))
 
 
 def oracle_min_over_omega(spec: FiberDivergence, C, D, side="minus", budget=32, seed=0):
@@ -411,13 +420,13 @@ def oracle_min_over_omega(spec: FiberDivergence, C, D, side="minus", budget=32, 
     directly and runs seeded multi-start local minimization. Real inputs
     only (the verification suites operate over the reals).
     """
-    C, D, r, s = _check_pair(C, D)
+    C, D, r, s, eigC = _check_pair(C, D)
     if np.iscomplexobj(C) or np.iscomplexobj(D):
         raise DomainError("the oracle supports real inputs only")
     if max(r, s) > 5:
         raise DomainError("oracle limited to r, s <= 5 (desk scale)")
     if side == "minus":
-        return _oracle_minus(spec, C, D[:r, :r], budget, seed)
+        return _oracle_minus(spec, _eig_power(*eigC, -0.5), D[:r, :r], budget, seed)
     if side == "plus":
-        return _oracle_plus(spec, C, D, budget, seed)
+        return _oracle_plus(spec, _eig_power(*eigC, 0.5), D, budget, seed)
     raise DomainError(f"unknown side {side!r}")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +288,31 @@ def test_transport_right_angle_needs_flag(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "transport", "--a", a, "--target", t,
                          "--steps", "2", "--force-completion")
     assert code == 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, psdsim, psdsim.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_project_lift_complex_requires_flag(tmp_path, capsys):
+    c = tmp_path / "c.psdm"
+    c.write_text(format_matrix(np.eye(2) + 0j))
+    d = write_matrix(tmp_path / "d.psdm", np.eye(3))
+    code, out, err = run_cli(capsys, "project-lift", "--c", str(c), "--d", d, "--which", "minus")
+    assert code == 2 and out == "" and "complex" in err
+    code, _, err = run_cli(capsys, "project-lift", "--c", str(c), "--d", d, "--which", "minus",
+                           "--field", "complex")
+    assert code == 0, err
+
+
+def test_project_lift_singular_c_exits_3(tmp_path, capsys):
+    c = write_matrix(tmp_path / "c.psdm", np.diag([1.0, 0.0]))
+    d = write_matrix(tmp_path / "d.psdm", np.eye(3))
+    for which in ("minus", "plus"):
+        code, out, err = run_cli(capsys, "project-lift", "--c", c, "--d", d, "--which", which)
+        assert code == 3 and out == "" and "C is not positive definite" in err

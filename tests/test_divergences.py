@@ -166,3 +166,16 @@ def test_readme_grammar_examples_parse():
     assert {"ab:1,0.5+sym", "kl+clamp=5", "geoab:1,0.25", "geo", "kl"} <= set(examples)
     for text in examples:
         ps.parse_divergence(text)
+
+
+def test_two_parameter_geodesic_value_and_bounds():
+    rng = np.random.default_rng(22)
+    X, Y = rand_pd(rng, 4), rand_pd(rng, 4)
+    log = np.log(np.linalg.eigvals(np.linalg.solve(X, Y)).real)
+    want = math.sqrt(np.sum(log**2) + 0.25 * np.sum(log) ** 2)
+    spec = FD.geodesic_ab(1.0, 0.25)
+    assert abs(ps.divergence(spec, X, Y) - want) <= 1e-12 * want
+    ratio = ps.divergence(spec.with_bound("ratio"), X, Y)
+    assert abs(ratio - want / (1.0 + want)) <= 1e-12
+    assert ps.divergence(spec.with_bound("clamp", 0.5 * want), X, Y) == 0.5 * want
+    assert abs(ps.divergence(spec.with_bound("clamp", 2.0 * want), X, Y) - want) <= 1e-12 * want

@@ -321,3 +321,42 @@ def test_oracle_guardrails():
         ps.oracle_min_over_omega(FD.kl(), C, D)
     with pytest.raises(ps.DomainError):
         ps.oracle_min_over_omega(FD.kl(), np.eye(2), np.eye(3), side="sideways")
+
+
+def test_eigendecomposition_counts(monkeypatch):
+    # each entry point decomposes C and D once (the validation) and its own
+    # pencil once; lift_plus adds the D11 and Schur-complement powers
+    counts = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(20)
+    C, D = rand_pd(rng, 2), rand_pd(rng, 4)
+    calls = {
+        "pointset_minus": (lambda: ps.pointset_minus(FD.kl(), C, D), 3),
+        "pointset_plus": (lambda: ps.pointset_plus(FD.kl(), C, D), 3),
+        "alpha_beta_pointset": (lambda: ps.alpha_beta_pointset(C, D, 1.0, 0.25), 3),
+        "project_minus": (lambda: ps.project_minus(C, D), 3),
+        "lift_plus": (lambda: ps.lift_plus(C, D), 5),
+    }
+    for name, (call, want) in calls.items():
+        counts["n"] = 0
+        call()
+        assert counts["n"] == want, name
+
+
+def test_oracle_two_parameter_minus_matches_qp():
+    rng = np.random.default_rng(21)
+    for r, s in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)):
+        C, D = rand_pd(rng, r), rand_pd(rng, s, 0.8, 2.5)
+        for beta in (0.25, 1.0, -0.3):
+            spec = FD.geodesic_ab(1.5, beta)
+            want = ps.alpha_beta_pointset(C, D, 1.5, beta, side="minus")
+            assert want > 0.0
+            got = ps.oracle_min_over_omega(spec, C, D, side="minus")
+            assert abs(got - want) <= 1e-8, (r, s, beta)
