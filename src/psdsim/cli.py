@@ -14,7 +14,7 @@ import sys
 from .divergences import parse_divergence
 from .errors import DomainError, OptimizerError, ParseError
 from .geodist import MetricSpec, gd, pairwise_gram
-from .geometry import parallel_transport, subspace_geodesic
+from .geometry import subspace_geodesic, transport_curve
 from .grassmann import GrassmannMetric
 from .linalg import TOL_PSD, TOL_RANK, PsdMatrix, Subspace, range_subspace
 from .matrixio import format_matrix, parse_matrix_file
@@ -120,10 +120,9 @@ def cmd_transport(args):
                             allow_completion=args.force_completion)
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
-    blocks = []
-    for i in range(args.steps + 1):
-        P = parallel_transport(A, geo, i / args.steps)
-        blocks.append(format_matrix(P.entries))
+    curve = transport_curve(A, geo)
+    blocks = [format_matrix(curve.evaluator(i / args.steps).entries)
+              for i in range(args.steps + 1)]
     sys.stdout.write("\n".join(blocks))
     return 0
 
@@ -148,7 +147,7 @@ def build_parser():
             p.add_argument("--budget", type=int, default=16,
                            help="starts of the degenerate-stratum ascent")
             p.add_argument("--samples", type=int, default=None,
-                           help="ambiguity samples in faithful mode")
+                           help="ambiguity samples in faithful mode (degenerate strata only)")
 
     p = sub.add_parser("dist", help="distance between two PSD matrices")
     p.add_argument("--a", required=True)

@@ -299,27 +299,27 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=
 
 
 def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
-    """Directed max-min fiber value over the sampled ambiguity group."""
+    """Directed max-min fiber value over the sampled ambiguity group.
+
+    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*. At l = 0
+    every pair has the pencil of (C, D11), so that one pair is the value.
+    """
     r, s = C.shape[0], D.shape[0]
+    Cih = _inv_half(C)
+    if l == 0:
+        return float(_batch_values(spec, Cih, D[:r, :r]))
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     rng = np.random.default_rng(seed)
     blocks = _sigma_blocks(sigma, r - l)
-    if l == 0:
-        n_p, n_s = max(4, min(32, samples // 64)), 1
-    else:
-        n_p = 4
-        n_s = max(4, int(math.sqrt(samples / n_p)))
-    n_t = max(4, samples // max(1, n_p * n_s))
+    n_p = 4
+    n_s = max(4, int(math.sqrt(samples / n_p)))
+    n_t = max(4, samples // (n_p * n_s))
 
-    d1 = -np.inf
-    d2 = -np.inf
+    d1 = d2 = -np.inf
     for _ in range(n_p):
         Gs, Ht = _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field)
-        Xs = _congruence(Gs, C)
-        Y11 = _congruence(Ht, D)[:, :r, :r]
-        vals = np.empty((Xs.shape[0], n_t))
-        for i in range(Xs.shape[0]):
-            vals[i] = _batch_values(spec, _inv_half(Xs[i]), Y11)
+        Y11 = _congruence(Ht[:, :r], D)
+        vals = np.stack([_batch_values(spec, Cih @ G.conj().T, Y11) for G in Gs])
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))
     return max(d1, d2)
@@ -328,13 +328,19 @@ def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
 # --- degenerate-stratum optimizer -------------------------------------
 
 
+def _tail_rows(r, l, D, Ts):
+    """blkdiag(I, T)[:r] for a stack of tails T: the right-frame rows D11 sees."""
+    i0 = r - l
+    E = np.zeros((Ts.shape[0], r, D.shape[0]), dtype=np.result_type(D, Ts))
+    E[:, :i0, :i0] = np.eye(i0)
+    E[:, i0:, i0:] = Ts[:, :l]
+    return E
+
+
 def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     """Fiber values for a stack of tail unitaries T conjugating D."""
-    r, s = C_invhalf.shape[0], D.shape[0]
-    H = np.tile(np.eye(s, dtype=np.result_type(D, Ts)), (Ts.shape[0], 1, 1))
-    H[:, r - l :, r - l :] = Ts
-    Y11 = _congruence(H, D)[:, :r, :r]
-    return _batch_values(spec, C_invhalf, Y11)
+    E = _tail_rows(C_invhalf.shape[0], l, D, Ts)
+    return _batch_values(spec, C_invhalf, _congruence(E, D))
 
 
 # Riemannian ascent over the tail group: iteration cap, stopping tolerance
@@ -356,10 +362,7 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
     """
     r = C_invhalf.shape[0]
     i0 = r - l
-    E = np.zeros((Ts.shape[0], r, D.shape[0]), dtype=np.result_type(D, Ts))
-    E[:, :i0, :i0] = np.eye(i0)
-    E[:, i0:, i0:] = Ts[:, :l]
-    CE = C_invhalf @ E
+    CE = C_invhalf @ _tail_rows(r, l, D, Ts)
     Z = CE @ D
     W = Z @ np.swapaxes(CE.conj(), -1, -2)
     lam, V = np.linalg.eigh(0.5 * (W + np.swapaxes(W.conj(), -1, -2)))

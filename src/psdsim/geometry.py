@@ -20,11 +20,12 @@ from .linalg import (
     PrincipalSystem,
     PsdMatrix,
     Subspace,
+    _eig_power,
     _herm,
+    check_pd,
     fiber_representation,
     pencil_eigenvalues,
     principal_system,
-    psd_power,
     range_subspace,
 )
 
@@ -92,16 +93,20 @@ def parallel_transport(A: PsdMatrix, geo: SubspaceGeodesic, t: float) -> PsdMatr
     P(t) = c(t) M c(t)* with M the fiber representation of A in the c(0)
     basis; the fiber spectrum is carried unchanged.
     """
-    if A.rank != geo.start.r:
-        raise DomainError("rank of A does not match the geodesic start dimension")
-    M = fiber_representation(A, geo.evaluator(0.0))
-    c = geo.evaluator(float(t))
-    return PsdMatrix(_herm(c @ M @ c.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
+    return transport_curve(A, geo).evaluator(t)
 
 
 def transport_curve(A: PsdMatrix, geo: SubspaceGeodesic) -> PsdCurve:
-    return PsdCurve(evaluator=lambda t: parallel_transport(A, geo, t),
-                    kind="parallelTransport")
+    """The curve t -> parallel_transport(A, geo, t), with M computed once."""
+    if A.rank != geo.start.r:
+        raise DomainError("rank of A does not match the geodesic start dimension")
+    M = fiber_representation(A, geo.evaluator(0.0))
+
+    def evaluate(t):
+        c = geo.evaluator(float(t))
+        return PsdMatrix(_herm(c @ M @ c.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
+
+    return PsdCurve(evaluator=evaluate, kind="parallelTransport")
 
 
 def _quasi_geodesic_parts(A: PsdMatrix, B: PsdMatrix, allow_completion=False):
@@ -118,23 +123,19 @@ def _quasi_geodesic_parts(A: PsdMatrix, B: PsdMatrix, allow_completion=False):
 
 def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float, allow_completion=False) -> PsdMatrix:
     """mu(t) = u(t) S(t) u(t)* pairing the base geodesic with the fiber geodesic."""
-    geo, C, Dp = _quasi_geodesic_parts(A, B, allow_completion)
-    Chalf = psd_power(C, 0.5)
-    Cih = psd_power(C, -0.5)
-    inner = psd_power(_herm(Cih @ Dp @ Cih), float(t))
-    S = _herm(Chalf @ inner @ Chalf)
-    u = geo.evaluator(float(t))
-    return PsdMatrix(_herm(u @ S @ u.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
+    return quasi_geodesic_curve(A, B, allow_completion).evaluator(t)
 
 
 def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix, allow_completion=False) -> PsdCurve:
+    """quasi_geodesic as a curve; C and C^{-1/2} D' C^{-1/2} are decomposed once."""
     geo, C, Dp = _quasi_geodesic_parts(A, B, allow_completion)
-    Chalf = psd_power(C, 0.5)
-    Cih = psd_power(C, -0.5)
-    inner = _herm(Cih @ Dp @ Cih)
+    _, w, V = check_pd(C, name="fiber representation")
+    Chalf = _eig_power(w, V, 0.5)
+    Cih = _eig_power(w, V, -0.5)
+    _, wi, Vi = check_pd(_herm(Cih @ Dp @ Cih), name="fiber pencil")
 
     def evaluate(t):
-        S = _herm(Chalf @ psd_power(inner, float(t)) @ Chalf)
+        S = _herm(Chalf @ _eig_power(wi, Vi, float(t)) @ Chalf)
         u = geo.evaluator(float(t))
         return PsdMatrix(_herm(u @ S @ u.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
 

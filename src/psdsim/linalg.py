@@ -104,10 +104,10 @@ def _inv_half(X):
 
 
 def pencil_spectra(X_invhalf, Y):
-    """Descending spectra of X^{-1} Y from X^{-1/2}, for Y or a stack of Y.
-
-    Every pencil spectrum in the package comes from here: one (stacked)
-    eigvalsh of X^{-1/2} Y X^{-1/2}.
+    """Descending spectra of X^{-1} Y, for Y or a stack of Y, as one (stacked)
+    eigvalsh of F Y F*. F may be any factor with F* F = X^{-1}: X^{-1/2}, or
+    C^{-1/2} G* for X = G C G* with G unitary. Every pencil spectrum in the
+    package comes from here.
     """
     W = X_invhalf @ Y @ X_invhalf.conj().T
     return np.linalg.eigvalsh(_herm(W))[..., ::-1]

@@ -32,7 +32,6 @@ from .linalg import (
     _pencil_from_eig,
     check_pd,
     hermitian_eig,
-    pencil_eigenvalues,
     pencil_spectra,
     psd_power,
 )
@@ -389,12 +388,9 @@ def _oracle_plus(spec, Chalf, D, budget, seed):
         return _herm(Y)
 
     def objective(x):
-        Y = build(x)
-        lam = np.linalg.eigvalsh(Y)
-        if lam[0] <= 0.0:
-            return 1e12
         try:
-            phi = _oracle_objective(spec, pencil_eigenvalues(Y, D))
+            _, w, V = check_pd(build(x))
+            phi = _oracle_objective(spec, _pencil_from_eig(w, V, D))
         except DomainError:
             return 1e12
         return float(phi) if np.isfinite(phi) else 1e12

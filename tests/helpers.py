@@ -128,3 +128,21 @@ def min_quadratic_box_enumerated(alpha, beta, c):
             best = obj
     assert best is not None
     return max(0.0, best)
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Count calls to the named attributes of `owner` (all into one counter).
+
+    Returns a dict whose "n" entry is the running count; reset it to zero to
+    count one stretch of code.
+    """
+    counts = {"n": 0}
+    for name in names:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts["n"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts

@@ -10,6 +10,7 @@ from psdsim import FiberDivergence as FD, GrassmannMetric as GM
 from helpers import (
     EXAMPLE_A,
     EXAMPLE_B,
+    count_calls,
     example_pair,
     family_specs,
     rand_frame,
@@ -498,3 +499,39 @@ def test_ascent_iteration_cap_raises_optimizer_error(monkeypatch):
     monkeypatch.setattr(ps.geodist, "_ASCENT_MAX_ITER", 0)
     with pytest.raises(ps.OptimizerError):
         ps.gd(A, B, GEO_GEO, budget=2)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_faithful_generic_value_is_the_representation_set_value(complex_field):
+    # on the generic stratum every representation pair has the pencil of
+    # (C, D11), so the max-min over a sampled set is that pencil's value
+    rng = np.random.default_rng(26)
+    for n, r, s in ((6, 2, 3), (5, 3, 3)):
+        if complex_field:
+            A, B = _rand_complex_psd(rng, n, r), _rand_complex_psd(rng, n, s)
+        else:
+            A, B = rand_psd_rank(rng, n, r), rand_psd_rank(rng, n, s)
+        for fiber in (FD.geodesic(), FD.kl()):
+            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"))
+            want = ps.generalized_hausdorff(lambda X, Y: ps.pointset_minus(fiber, X, Y).value,
+                                            ps.representation_set(A, B, grid=64))
+            assert res.stratum_index == 0
+            assert abs(res.fiber_term - want) <= 1e-12 * want, (n, r, s, fiber.kind)
+
+
+def test_faithful_generic_value_ignores_seed_and_samples():
+    rng = np.random.default_rng(27)
+    A, B = rand_psd_rank(rng, 6, 2), rand_psd_rank(rng, 6, 3)
+    spec = ps.MetricSpec(GM.GEODESIC, FD.kl(), "faithful")
+    values = {ps.gd(A, B, spec, seed=seed, samples=samples).fiber_term
+              for seed in range(4) for samples in (100, 100_000)}
+    assert len(values) == 1
+
+
+def test_faithful_degenerate_decomposes_c_once(monkeypatch):
+    # every left frame G uses C^-1/2 G* in place of (G C G*)^-1/2
+    A, B = example_pair()
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful"), samples=20000)
+    assert res.stratum_index == 2
+    assert eigh["n"] == 1

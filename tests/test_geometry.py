@@ -8,6 +8,7 @@ import pytest
 import psdsim as ps
 from psdsim import FiberDivergence as FD, GrassmannMetric as GM
 from helpers import (
+    count_calls,
     rand_frame,
     rand_orthogonal,
     rand_pd,
@@ -221,3 +222,20 @@ def test_transport_then_compare_matches_distance():
         d2 = float(np.sum(geo.principal.theta**2))
         delta2 = float(np.sum(np.log(ps.pencil_eigenvalues(M1, N1)) ** 2))
         assert abs(ps.gd(A, B, spec).total**2 - (d2 + delta2)) <= 1e-8
+
+
+def test_curves_factor_their_fixed_matrices_once(monkeypatch):
+    # a quasi-geodesic decomposes C and C^-1/2 D' C^-1/2 once per curve and
+    # each point's PsdMatrix once; a transport curve represents A once
+    rng = np.random.default_rng(15)
+    A, B = rand_psd_rank(rng, 6, 3), rand_psd_rank(rng, 6, 3)
+    geo = ps.subspace_geodesic(ps.range_subspace(A), ps.range_subspace(B))
+    eig = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    ps.quasi_geodesic(A, B, 0.4)
+    assert eig["n"] == 3
+    eig["n"] = 0
+    assert len(ps.quasi_geodesic_curve(A, B).sample(11)) == 11
+    assert eig["n"] == 13
+    fibers = count_calls(monkeypatch, ps.geometry, "fiber_representation")
+    ps.transport_curve(A, geo).sample(11)
+    assert fibers["n"] == 1

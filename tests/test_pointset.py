@@ -7,7 +7,13 @@ import pytest
 
 import psdsim as ps
 from psdsim import FiberDivergence as FD
-from helpers import family_specs, min_quadratic_box_enumerated, rand_pd, rand_psd_rank
+from helpers import (
+    count_calls,
+    family_specs,
+    min_quadratic_box_enumerated,
+    rand_pd,
+    rand_psd_rank,
+)
 
 
 def rand_pair(rng, r, s, lo=0.5, hi=2.5):
@@ -360,3 +366,26 @@ def test_oracle_two_parameter_minus_matches_qp():
             assert want > 0.0
             got = ps.oracle_min_over_omega(spec, C, D, side="minus")
             assert abs(got - want) <= 1e-8, (r, s, beta)
+
+
+def test_oracle_plus_decomposes_each_candidate_once(monkeypatch):
+    # one objective evaluation: check_pd on the candidate Y, then its pencil
+    import scipy.optimize
+
+    eig = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    per_call = []
+    minimize = scipy.optimize.minimize
+
+    def counted_minimize(fun, x0, **kwargs):
+        def counted(x):
+            before = eig["n"]
+            out = fun(x)
+            per_call.append(eig["n"] - before)
+            return out
+
+        return minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    C, D = np.diag([1.0, 2.0]), rand_pd(np.random.default_rng(26), 4)
+    ps.oracle_min_over_omega(FD.kl(), C, D, side="plus", budget=4)
+    assert per_call and max(per_call) <= 2
