@@ -25,7 +25,15 @@ import numpy as np
 from .divergences import FiberDivergence, _fiber_values
 from .errors import DomainError, OptimizerError
 from .grassmann import GrassmannMetric, grassmann_distance
-from .linalg import TOL_RANK, PsdMatrix, _herm, _inv_half, pencil_spectra, small_angles_refined
+from .linalg import (
+    TOL_RANK,
+    PsdMatrix,
+    _descend,
+    _herm,
+    _inv_half,
+    pencil_spectra,
+    small_angles_refined,
+)
 from .pointset import _spectrum_objective
 
 __all__ = [
@@ -343,12 +351,8 @@ def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     return _batch_values(spec, C_invhalf, _congruence(E, D))
 
 
-# Riemannian ascent over the tail group: iteration cap, stopping tolerance
-# on |Omega|_F / (1 + |F|), Armijo constant and backtracking limit
+# iteration cap of the degenerate-stratum ascent
 _ASCENT_MAX_ITER = 500
-_ASCENT_GTOL = 1e-7
-_ARMIJO = 1e-4
-_MAX_BACKTRACK = 30
 
 
 def _ascent_state(spec, C_invhalf, D, l, Ts):
@@ -382,76 +386,26 @@ def _cayley(Ts, Om):
 def _ascend(spec, C_invhalf, D, l, Ts):
     """Batched Riemannian quasi-Newton ascent of F from every start in Ts.
 
-    The gradients Omega live in the Lie algebra of skew-Hermitian k x k
-    matrices, where left translation identifies every tangent space with
-    one inner-product space; each start keeps a BFGS inverse Hessian there,
-    first scaled by the Barzilai-Borwein step <s, y>/<y, y>. A step is the
-    Cayley retraction of the quasi-Newton direction, with per-start Armijo
-    backtracking; a start stops once |Omega|_F <= gtol (1 + |F|). Returns
-    the final stack; raises OptimizerError if no start met the rule.
+    `linalg._descend` minimizes -F with the gradient -Omega, written in
+    real coordinates of the skew-Hermitian k x k matrices, and steps by the
+    Cayley retraction. Returns the final stack; raises OptimizerError if no
+    start reached a stationary point within _ASCENT_MAX_ITER iterations.
     """
     m, k = Ts.shape[0], Ts.shape[-1]
-    Ts = Ts.copy()
-    F, Om = _ascent_state(spec, C_invhalf, D, l, Ts)
-    g = Om.reshape(m, -1).view(float)  # a view: real coordinates of Omega
-    Hinv = np.tile(np.eye(g.shape[1]), (m, 1, 1))
-    scaled = np.zeros(m, dtype=bool)
-    live = np.ones(m, dtype=bool)
-    for _ in range(_ASCENT_MAX_ITER):
-        live &= np.linalg.norm(g, axis=1) > _ASCENT_GTOL * (1.0 + np.abs(F))
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        p = np.einsum("mij,mj->mi", Hinv[idx], g[idx])
-        slope = np.sum(p * g[idx], axis=1)
-        t = np.ones(idx.size)
-        for _ in range(_MAX_BACKTRACK):
-            P = p.view(Om.dtype).reshape(-1, k, k)
-            P = 0.5 * (P - np.swapaxes(P.conj(), -1, -2))
-            T_try = _cayley(Ts[idx], t[:, None, None] * P)
-            F_try, Om_try = _ascent_state(spec, C_invhalf, D, l, T_try)
-            ok = F_try >= F[idx] + _ARMIJO * t * slope
-            acc = idx[ok]
-            if acc.size:
-                # an accepted step that leaves F unchanged is below its resolution
-                live[acc[F_try[ok] <= F[acc]]] = False
-                g_new = Om_try[ok].reshape(acc.size, -1).view(float)
-                _bfgs_update(Hinv, scaled, acc, t[ok, None] * p[ok], g[acc] - g_new)
-                Ts[acc], F[acc], Om[acc] = T_try[ok], F_try[ok], Om_try[ok]
-            # backtrack to the maximizer of the quadratic through F, the slope
-            # and F_try, kept within [0.1, 0.5] of the rejected step
-            drop = F[idx[~ok]] + t[~ok] * slope[~ok] - F_try[~ok]
-            idx, p, slope, t = idx[~ok], p[~ok], slope[~ok], t[~ok]
-            if idx.size == 0:
-                break
-            t = np.clip(0.5 * slope * t * t / drop, 0.1 * t, 0.5 * t)
-        # starts that found no ascent step sit at the resolution of F too
-        live[idx] = False
-    done = np.linalg.norm(g, axis=1) <= _ASCENT_GTOL * (1.0 + np.abs(F))
+
+    def fg(T):
+        F, Om = _ascent_state(spec, C_invhalf, D, l, T)
+        return -F, -Om.reshape(len(T), -1).view(float)
+
+    def retract(T, p, t):
+        P = p.view(Ts.dtype).reshape(-1, k, k)
+        return _cayley(T, t[:, None, None] * (0.5 * (P - np.swapaxes(P.conj(), -1, -2))))
+
+    Ts, _, done = _descend(fg, retract, Ts, _ASCENT_MAX_ITER)
     if not done.any():
         raise OptimizerError(
             f"degenerate-stratum ascent: none of {m} starts reached a stationary point")
     return Ts
-
-
-def _bfgs_update(Hinv, scaled, idx, s, y):
-    """BFGS update of the inverse Hessians of -F at idx, for steps s and
-    gradient changes y; skipped where the curvature <s, y> is not positive."""
-    sy = np.sum(s * y, axis=1)
-    use = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
-    idx, s, y, sy = idx[use], s[use], y[use], sy[use]
-    first = ~scaled[idx]
-    if first.any():
-        gamma = sy[first] / np.sum(y[first] * y[first], axis=1)
-        Hinv[idx[first]] *= gamma[:, None, None]
-        scaled[idx[first]] = True
-    H = Hinv[idx]
-    rho = 1.0 / sy
-    Hy = np.einsum("mij,mj->mi", H, y)
-    yHy = np.sum(y * Hy, axis=1)
-    H = (H - rho[:, None, None] * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
-         + (rho * rho * yHy + rho)[:, None, None] * s[:, :, None] * s[:, None, :])
-    Hinv[idx] = H
 
 
 def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0):
@@ -495,7 +449,11 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
 
 def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
        samples=None, tol=None) -> GdResult:
-    """Geometric distance between two PSD matrices of any size and rank."""
+    """Geometric distance between two PSD matrices of any size and rank.
+
+    `budget` (algorithm1 ascent starts, at least two run) and `samples`
+    (faithful mode; None means 20000) must be >= 1.
+    """
     if A.rank == 0 or B.rank == 0:
         raise DomainError("zero-rank input")
     if A.rank > B.rank:
@@ -505,10 +463,12 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
 
 
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
+    if budget < 1 or (samples is not None and samples < 1):
+        raise DomainError(f"budget and samples must be >= 1, got {budget} and {samples}")
     gterm = grassmann_distance(spec.grassmann, prep.theta)
     if spec.hausdorff_mode == "faithful":
         fterm = _faithful_fiber(prep.C, prep.D, prep.sigma, prep.l, spec.fiber,
-                                samples or 20000, seed)
+                                20000 if samples is None else samples, seed)
         mode = "faithfulSampled"
     elif prep.l == 0:
         fterm = float(_fiber_values(spec.fiber, _spectrum_objective(spec.fiber, prep.mu)))

@@ -283,6 +283,75 @@ def stratum_index(ps: PrincipalSystem, tol=TOL_RANK) -> int:
     return int(np.count_nonzero(ps.sigma <= tol))
 
 
+def _descend(fg, retract, X, max_iter):
+    """Batched quasi-Newton descent of f from every start in the stack X.
+
+    fg(X) returns f (m,) and its gradient g (m, d) in real coordinates of
+    one inner-product space per start (for a Lie group, the Lie algebra
+    under left translation); retract(X, p, t) moves each X along direction
+    p by step t. Each start keeps a BFGS inverse Hessian, first scaled by
+    the Barzilai-Borwein step <s, y>/<y, y>, and takes Armijo backtracking
+    steps. A start stops once |g| <= 1e-7 (1 + |f|), or when no step lowers
+    f, which then sits at its resolution. f = +inf marks a point outside
+    the domain. Returns the final stack, f, and per start whether it met
+    the gradient rule.
+    """
+    m = X.shape[0]
+    X = X.copy()
+    f, g = fg(X)
+    Hinv = np.tile(np.eye(g.shape[1]), (m, 1, 1))
+    scaled = np.zeros(m, dtype=bool)
+    live = np.ones(m, dtype=bool)
+    for _ in range(max_iter):
+        live &= np.linalg.norm(g, axis=1) > 1e-7 * (1.0 + np.abs(f))
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        p = -np.einsum("mij,mj->mi", Hinv[idx], g[idx])
+        slope = np.sum(p * g[idx], axis=1)
+        t = np.ones(idx.size)
+        for _ in range(30):
+            X_try = retract(X[idx], p, t)
+            f_try, g_try = fg(X_try)
+            ok = f_try <= f[idx] + 1e-4 * t * slope
+            acc = idx[ok]
+            if acc.size:
+                # an accepted step that leaves f unchanged is below its resolution
+                live[acc[f_try[ok] >= f[acc]]] = False
+                _bfgs_update(Hinv, scaled, acc, t[ok, None] * p[ok], g_try[ok] - g[acc])
+                X[acc], f[acc], g[acc] = X_try[ok], f_try[ok], g_try[ok]
+            # backtrack to the minimizer of the quadratic through f, the slope
+            # and f_try, kept within [0.1, 0.5] of the rejected step
+            drop = f_try[~ok] - (f[idx[~ok]] + t[~ok] * slope[~ok])
+            idx, p, slope, t = idx[~ok], p[~ok], slope[~ok], t[~ok]
+            if idx.size == 0:
+                break
+            t = np.clip(-0.5 * slope * t * t / drop, 0.1 * t, 0.5 * t)
+        # starts that found no descent step sit at the resolution of f too
+        live[idx] = False
+    return X, f, np.linalg.norm(g, axis=1) <= 1e-7 * (1.0 + np.abs(f))
+
+
+def _bfgs_update(Hinv, scaled, idx, s, y):
+    """BFGS update of the inverse Hessians at idx, for steps s and gradient
+    changes y; skipped where the curvature <s, y> is not positive."""
+    sy = np.sum(s * y, axis=1)
+    use = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+    idx, s, y, sy = idx[use], s[use], y[use], sy[use]
+    first = ~scaled[idx]
+    if first.any():
+        gamma = sy[first] / np.sum(y[first] * y[first], axis=1)
+        Hinv[idx[first]] *= gamma[:, None, None]
+        scaled[idx[first]] = True
+    H = Hinv[idx]
+    rho = 1.0 / sy
+    Hy = np.einsum("mij,mj->mi", H, y)
+    yHy = np.sum(y * Hy, axis=1)
+    H = (H - rho[:, None, None] * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
+         + (rho * rho * yHy + rho)[:, None, None] * s[:, :, None] * s[:, None, :])
+    Hinv[idx] = H
+
+
 def fiber_representation(A: PsdMatrix, basis, tol=1e-8) -> np.ndarray:
     """basis* A basis for an orthonormal basis inside range(A).
 

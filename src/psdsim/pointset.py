@@ -27,12 +27,12 @@ import numpy as np
 from .divergences import GEODESIC_AB, FiberDivergence, _fiber_values, _objective
 from .errors import DomainError, OptimizerError
 from .linalg import (
+    _descend,
     _eig_power,
     _herm,
     _pencil_from_eig,
     check_pd,
     hermitian_eig,
-    pencil_spectra,
     psd_power,
 )
 
@@ -259,154 +259,103 @@ def _lift_plus(C, D, r, s):
 
 # --- independent verification oracle ---------------------------------
 
-
-def _oracle_objective(spec, lam, with_grad=False):
-    """Phi (and its gradient) of spectra floored at 1e-300, warnings off."""
-    with np.errstate(all="ignore"):
-        return _objective(spec, np.maximum(lam, 1e-300), with_grad)
+# iteration cap of the descent from each start
+_ORACLE_MAX_ITER = 500
 
 
 def _phi_batch(spec, lam):
-    """Phi for a (B, r) stack of spectra, +inf where the domain is violated."""
-    try:
-        phi = _oracle_objective(spec, lam)
-    except DomainError:
-        # per-row domain violations: fall back to a python loop
-        phi = np.empty(lam.shape[0])
-        for i in range(lam.shape[0]):
-            try:
-                phi[i] = _oracle_objective(spec, lam[i])
-            except DomainError:
-                phi[i] = np.inf
-        return phi
-    phi = np.asarray(phi, dtype=float)
-    phi[~np.isfinite(phi)] = np.inf
-    return phi
+    """Phi and dPhi/dlambda for a (B, r) stack of spectra floored at 1e-300;
+    +inf with a zero gradient where the domain is violated."""
+    with np.errstate(all="ignore"):
+        lam = np.maximum(lam, 1e-300)
+        try:
+            phi, dphi = _objective(spec, lam, with_grad=True)
+        except DomainError:
+            # per-row domain violations: fall back to a python loop
+            phi, dphi = np.full(lam.shape[0], np.inf), np.zeros_like(lam)
+            for i in range(lam.shape[0]):
+                try:
+                    phi[i], dphi[i] = _objective(spec, lam[i], with_grad=True)
+                except DomainError:
+                    pass
+    bad = ~(np.isfinite(phi) & np.isfinite(dphi).all(axis=-1))
+    phi[bad], dphi[bad] = np.inf, 0.0
+    return phi, dphi
+
+
+def _line(x, p, t):
+    """x + t p: the retraction of a flat parameter space."""
+    return x + t[:, None] * p
 
 
 def _oracle_minus(spec, Cih, D11, budget, seed):
     """Multi-start descent over X = D11 + L L', L lower triangular."""
-    import scipy.optimize  # only the oracle needs scipy; keep it off the package import
-
     r = D11.shape[0]
     rng = np.random.default_rng(seed)
-    tril = np.tril_indices(r)
-    nb = max(2, int(budget))
-
-    L = np.zeros((nb, r, r))
+    rows, cols = np.tril_indices(r)
+    L = np.zeros((max(2, int(budget)), r, r))
     scale = np.sqrt(max(1.0, np.trace(D11).real / r))
-    for i in range(1, nb):
+    for i in range(1, len(L)):
         G = rng.normal(size=(r, r)) * scale * 10.0 ** rng.uniform(-2, 0.5)
-        L[i][tril] = G[tril]
+        L[i, rows, cols] = G[rows, cols]
 
-    def f_batch(Lb):
-        return _phi_batch(spec, pencil_spectra(Cih, D11 + Lb @ np.swapaxes(Lb, -1, -2)))
+    def fg(x):
+        L = np.zeros((len(x), r, r))
+        L[:, rows, cols] = x
+        lam, V = np.linalg.eigh(_herm(Cih @ (D11 + L @ np.swapaxes(L, -1, -2)) @ Cih))
+        phi, dphi = _phi_batch(spec, lam)
+        G = Cih @ ((V * dphi[:, None, :]) @ np.swapaxes(V, -1, -2)) @ Cih
+        return phi, 2.0 * (G @ L)[:, rows, cols]
 
-    def f_grad_single(lvec):
-        Lm = np.zeros((r, r))
-        Lm[tril] = lvec
-        X = D11 + Lm @ Lm.T
-        lam, V = np.linalg.eigh(_herm(Cih @ X @ Cih))
-        try:
-            phi, dphi = _oracle_objective(spec, lam, with_grad=True)
-        except DomainError:
-            return 1e12, np.zeros_like(lvec)
-        if not np.isfinite(phi):
-            return 1e12, np.zeros_like(lvec)
-        Gx = Cih @ ((V * dphi) @ V.T) @ Cih
-        GL = 2.0 * Gx @ Lm
-        return float(phi), GL[tril]
-
-    # crude batched descent with per-element backtracking
-    step = np.full(nb, 1e-2 * scale**2)
-    fval = f_batch(L)
-    Gfull = np.zeros_like(L)
-    for _ in range(150):
-        # numerical gradient would be too slow; reuse the analytic formula batched
-        X = D11 + L @ np.swapaxes(L, -1, -2)
-        lam, V = np.linalg.eigh(_herm(Cih @ X @ Cih))
-        try:
-            _, dphi = _oracle_objective(spec, lam, with_grad=True)
-        except DomainError:
-            dphi = np.zeros_like(lam)
-        Gx = Cih @ ((V * dphi[..., None, :]) @ np.swapaxes(V, -1, -2)) @ Cih
-        Gfull = 2.0 * Gx @ L
-        mask = np.zeros((r, r))
-        mask[tril] = 1.0
-        Gfull = Gfull * mask
-        trial = L - step[:, None, None] * Gfull
-        ftrial = f_batch(trial)
-        better = ftrial < fval
-        L[better] = trial[better]
-        fval[better] = ftrial[better]
-        step[better] *= 1.3
-        step[~better] *= 0.4
-        if step.max() < 1e-14:
-            break
-
-    # polish the best candidates with a quasi-Newton pass
-    order = np.argsort(fval)
-    best = np.inf
-    for idx in order[:3]:
-        res = scipy.optimize.minimize(
-            f_grad_single, L[idx][tril], jac=True, method="L-BFGS-B",
-            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        best = min(best, float(res.fun))
-    best = min(best, float(fval.min()))
-    return float(_fiber_values(spec, best))
+    _, f, _ = _descend(fg, _line, L[:, rows, cols], _ORACLE_MAX_ITER)
+    return float(_fiber_values(spec, f.min()))
 
 
-def _oracle_plus(spec, Chalf, D, budget, seed):
-    """Multi-start search over Y with Y11 <= C, via smooth factors.
+def _oracle_plus(spec, Chalf, Dih, budget, seed):
+    """Multi-start descent over Y with Y11 <= C, via smooth factors.
 
     Y11 = C^{1/2} (I + E E')^{-1} C^{1/2} sweeps all PD blocks below C;
-    the off-diagonal block and the Schur complement of Y are free factors.
+    Y12 = R and the Schur factor F of Y22 = R' Y11^{-1} R + F F' are free.
+    The objective is Phi(1/nu), nu the spectrum of D^{-1/2} Y D^{-1/2}, so
+    its gradient in Y is -D^{-1/2} V diag(Phi'(1/nu)/nu^2) V' D^{-1/2};
+    the chain rule carries it to E, R and F.
     """
-    import scipy.optimize  # only the oracle needs scipy; keep it off the package import
-
-    r, s = Chalf.shape[0], D.shape[0]
-    rng = np.random.default_rng(seed)
+    r, s = Chalf.shape[0], Dih.shape[0]
     k = s - r
-    tril = np.tril_indices(k)
-    n_e, n_r, n_f = r * r, r * k, len(tril[0])
+    rng = np.random.default_rng(seed)
+    rows, cols = np.tril_indices(k)
+    n_e, n_r = r * r, r * k
+    nvar = n_e + n_r + len(rows)
+    x0 = np.stack([rng.normal(size=nvar) * (0.3 if i else 1e-3)
+                   for i in range(max(2, int(budget)))])
+    # bias the Schur factor away from singularity
+    x0[:, n_e + n_r:] += np.eye(k)[rows, cols]
 
-    def build(x):
-        E = x[:n_e].reshape(r, r)
-        Y11 = Chalf @ np.linalg.inv(np.eye(r) + E @ E.T) @ Chalf
-        if k == 0:
-            return _herm(Y11)
-        R = x[n_e:n_e + n_r].reshape(r, k)
-        F = np.zeros((k, k))
-        F[tril] = x[n_e + n_r:]
-        S = F @ F.T
-        Y = np.zeros((s, s))
-        Y[:r, :r] = Y11
-        Y[:r, r:] = R
-        Y[r:, :r] = R.T
-        Y[r:, r:] = R.T @ np.linalg.solve(Y11, R) + S
-        return _herm(Y)
+    def fg(x):
+        m = len(x)
+        E = x[:, :n_e].reshape(m, r, r)
+        R = x[:, n_e:n_e + n_r].reshape(m, r, k)
+        F = np.zeros((m, k, k))
+        F[:, rows, cols] = x[:, n_e + n_r:]
+        Minv = np.linalg.inv(np.eye(r) + E @ np.swapaxes(E, -1, -2))
+        Y11 = Chalf @ Minv @ Chalf
+        S = np.linalg.solve(Y11, R)
+        Rt = np.swapaxes(R, -1, -2)
+        Y = np.block([[Y11, R], [Rt, Rt @ S + F @ np.swapaxes(F, -1, -2)]])
+        nu, V = np.linalg.eigh(_herm(Dih @ Y @ Dih))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi, dphi = _phi_batch(spec, 1.0 / nu)
+            phi[nu[:, 0] <= 0.0] = np.inf
+            G = Dih @ ((V * (-dphi / nu**2)[:, None, :]) @ np.swapaxes(V, -1, -2)) @ Dih
+        G11, G12, G22 = G[:, :r, :r], G[:, :r, r:], G[:, r:, r:]
+        SG = S @ G22
+        H = Minv @ Chalf @ (G11 - SG @ np.swapaxes(S, -1, -2)) @ Chalf @ Minv
+        return phi, np.concatenate([(-2.0 * H @ E).reshape(m, -1),
+                                    (2.0 * (G12 + SG)).reshape(m, -1),
+                                    2.0 * (G22 @ F)[:, rows, cols]], axis=1)
 
-    def objective(x):
-        try:
-            _, w, V = check_pd(build(x))
-            phi = _oracle_objective(spec, _pencil_from_eig(w, V, D))
-        except DomainError:
-            return 1e12
-        return float(phi) if np.isfinite(phi) else 1e12
-
-    best = np.inf
-    nvar = n_e + n_r + n_f
-    for i in range(max(2, int(budget))):
-        x0 = rng.normal(size=nvar) * (0.3 if i else 1e-3)
-        # bias the Schur factor away from singularity
-        x0[n_e + n_r:] += np.eye(k)[tril] if k else 0.0
-        res = scipy.optimize.minimize(
-            objective, x0, method="L-BFGS-B",
-            options={"maxiter": 300, "ftol": 1e-15},
-        )
-        best = min(best, float(res.fun))
-    return float(_fiber_values(spec, best))
+    _, f, _ = _descend(fg, _line, x0, _ORACLE_MAX_ITER)
+    return float(_fiber_values(spec, f.min()))
 
 
 def oracle_min_over_omega(spec: FiberDivergence, C, D, side="minus", budget=32, seed=0):
@@ -424,5 +373,5 @@ def oracle_min_over_omega(spec: FiberDivergence, C, D, side="minus", budget=32, 
     if side == "minus":
         return _oracle_minus(spec, _eig_power(*eigC, -0.5), D[:r, :r], budget, seed)
     if side == "plus":
-        return _oracle_plus(spec, _eig_power(*eigC, 0.5), D, budget, seed)
+        return _oracle_plus(spec, _eig_power(*eigC, 0.5), psd_power(D, -0.5), budget, seed)
     raise DomainError(f"unknown side {side!r}")

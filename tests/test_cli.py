@@ -141,6 +141,17 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
+    b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)
+    for flags in (["--hausdorff", "faithful", "--samples", "0"], ["--samples", "-5"],
+                  ["--budget", "0"]):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, *flags)
+        assert code == 3 and out == "" and ">= 1" in err, flags
+    code, out, err = run_cli(capsys, "pairwise", "--inputs", f"{a},{b}", "--samples", "0")
+    assert code == 3 and out == "" and ">= 1" in err
+
+
 def test_complex_requires_flag(tmp_path, capsys):
     M = np.eye(2) + 0j
     a = write_matrix(tmp_path / "a.psdm", np.eye(2))
@@ -290,8 +301,13 @@ def test_transport_right_angle_needs_flag(tmp_path, capsys):
     assert code == 0
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, psdsim, psdsim.cli; print('scipy.optimize' in sys.modules)"
+def test_import_and_oracle_leave_scipy_unloaded():
+    # the package, the CLI and both sides of the verification oracle run on NumPy alone
+    code = ("import sys, numpy as np, psdsim, psdsim.cli\n"
+            "C, D = np.diag([1.0, 2.0]), np.diag([1.5, 0.5, 1.0])\n"
+            "for side in ('minus', 'plus'):\n"
+            "    psdsim.oracle_min_over_omega(psdsim.FiberDivergence.kl(), C, D, side, budget=2)\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(ps.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

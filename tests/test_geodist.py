@@ -277,6 +277,22 @@ def test_closed_form_matches_faithful_on_generic_pairs():
             assert abs(closed - sampled) <= 1e-4
 
 
+def test_budget_and_samples_below_one_raise_domain_error():
+    # on every path, and for pairwise_gram too; budget=1 and samples=1 stay valid
+    A, B = example_pair()
+    faithful = ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful")
+    generic = ps.PsdMatrix(np.diag([2.0, 1.0, 0.5, 0.0, 0.0]))
+    for spec in (GEO_GEO, faithful):
+        for kw in ({"samples": -5}, {"samples": 0}, {"budget": 0}, {"budget": -3}):
+            for a, b in ((A, B), (A, generic)):
+                with pytest.raises(ps.DomainError, match=">= 1"):
+                    ps.gd(a, b, spec, **kw)
+            with pytest.raises(ps.DomainError, match=">= 1"):
+                ps.pairwise_gram([A, B], spec, **kw)
+    assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
+    assert ps.gd(A, B, GEO_GEO, budget=1).stratum_index == 2
+
+
 def test_pairwise_single_input():
     rng = np.random.default_rng(14)
     out = ps.pairwise_gram([rand_psd_rank(rng, 4, 2)], GEO_GEO)

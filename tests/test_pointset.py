@@ -368,24 +368,56 @@ def test_oracle_two_parameter_minus_matches_qp():
             assert abs(got - want) <= 1e-8, (r, s, beta)
 
 
-def test_oracle_plus_decomposes_each_candidate_once(monkeypatch):
-    # one objective evaluation: check_pd on the candidate Y, then its pencil
-    import scipy.optimize
+def _descent_calls(monkeypatch, wrap):
+    """Run the oracle's descents with each objective-gradient map fg
+    replaced by wrap(fg)."""
+    descend = ps.pointset._descend
+    monkeypatch.setattr(ps.pointset, "_descend",
+                        lambda fg, retract, X, max_iter: descend(wrap(fg), retract, X, max_iter))
 
+
+def test_oracle_plus_decomposes_each_candidate_once(monkeypatch):
+    # one objective evaluation of a stack of candidates Y: its pencils, once
     eig = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
     per_call = []
-    minimize = scipy.optimize.minimize
 
-    def counted_minimize(fun, x0, **kwargs):
+    def wrap(fg):
         def counted(x):
             before = eig["n"]
-            out = fun(x)
+            out = fg(x)
             per_call.append(eig["n"] - before)
             return out
 
-        return minimize(counted, x0, **kwargs)
+        return counted
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    _descent_calls(monkeypatch, wrap)
     C, D = np.diag([1.0, 2.0]), rand_pd(np.random.default_rng(26), 4)
     ps.oracle_min_over_omega(FD.kl(), C, D, side="plus", budget=4)
     assert per_call and max(per_call) <= 2
+
+
+def test_oracle_gradients_match_central_differences(monkeypatch):
+    # both sides' analytic gradients, at a perturbed random start, against
+    # central differences in every coordinate
+    seen = []
+    _descent_calls(monkeypatch, lambda fg: seen.append(fg) or fg)
+    rng = np.random.default_rng(27)
+    h, checked = 1e-5, 0
+    for text in ("kl", "geo", "ab:1,0.5", "is:0.5", "geoab:1.5,0.25"):
+        spec = ps.parse_divergence(text)
+        for r, s in ((1, 3), (2, 2), (2, 3), (3, 4)):
+            C, D = rand_pair(rng, r, s)
+            for side in ("minus", "plus"):
+                seen.clear()
+                ps.oracle_min_over_omega(spec, C, D, side=side, budget=2, seed=1)
+                fg = seen[0]
+                n = {"minus": r * (r + 1) // 2, "plus": r * s + (s - r) * (s - r + 1) // 2}[side]
+                x = 0.5 * rng.normal(size=n)
+                f, g = fg(x[None])
+                if not np.isfinite(f[0]):
+                    continue
+                steps = h * np.eye(n)
+                fd = (fg(x + steps)[0] - fg(x - steps)[0]) / (2.0 * h)
+                assert np.linalg.norm(fd - g[0]) <= 1e-5 * np.linalg.norm(g[0]), (text, r, s, side)
+                checked += 1
+    assert checked >= 30
