@@ -31,6 +31,7 @@ from .linalg import (
     _descend,
     _herm,
     _inv_half,
+    check_hermitian,
     pencil_spectra,
     small_angles_refined,
 )
@@ -228,52 +229,56 @@ def _random_unitaries(rng, count, k, complex_field):
     return Q * d[..., None, :]
 
 
-def _tail_unitaries(rng, count, k, complex_field):
-    """Sample U(k)/O(k): quasi-uniform grids for tiny real blocks, random QR else."""
-    if k == 0:
-        return np.zeros((count, 0, 0))
+def _sample_group(rng, k, count, complex_field, n):
+    """A (count, n, n) stack of frames blkdiag(I, T), T in U(k) (O(k) over
+    the reals); element 0 is the identity.
+
+    Over the reals a one-dimensional T alternates in sign, and a
+    two-dimensional T runs over evenly spaced rotations (random phase
+    offset) and then their reflections; any other T is drawn by random QR.
+    """
+    out = np.tile(np.eye(n, dtype=complex if complex_field else float), (count, 1, 1))
+    i0 = n - k
+    if k == 0 or count < 2:
+        return out
     if not complex_field and k == 1:
-        signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
-        return signs[:, None, None] * np.ones((count, 1, 1))
-    if not complex_field and k == 2:
-        # evenly spaced rotations (random phase offset), alternating reflection
+        out[:, i0, i0] = (-1.0) ** np.arange(count)
+    elif not complex_field and k == 2:
         ang = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(
-            0.0, 2.0 * np.pi, max(1, (count + 1) // 2), endpoint=False)
+            0.0, 2.0 * np.pi, count // 2, endpoint=False)
         c, s = np.cos(ang), np.sin(ang)
         rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        refl = rot.copy()
-        refl[:, :, 1] *= -1.0
-        return np.concatenate([rot, refl])[:count]
-    return _random_unitaries(rng, count, k, complex_field)
-
-
-def _sample_group(rng, k_extra, count, complex_field, r_total):
-    """Sample blkdiag(I, T) tail factors; element 0 is always the identity."""
-    out = np.tile(np.eye(r_total, dtype=complex if complex_field else float),
-                  (count, 1, 1))
-    if k_extra and count > 1:
-        i0 = r_total - k_extra
-        out[1:, i0:, i0:] = _tail_unitaries(rng, count - 1, k_extra, complex_field)
+        out[1:, i0:, i0:] = np.concatenate([rot, rot * [1.0, -1.0]])[: count - 1]
+    else:
+        out[1:, i0:, i0:] = _random_unitaries(rng, count - 1, k, complex_field)
     return out
 
 
-def _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field):
-    """One draw of the principal-basis ambiguity group, as stacked frames.
+def _frame_draws(C, D, sigma, l, samples, seed):
+    """The principal-basis ambiguity group of (C, D), as 4 draws of frames.
 
-    A unitary P acting on each run of equal singular values, shared by the
-    (n_s, r, r) left frames blkdiag(P, S) and the (n_t, s, s) right frames
-    blkdiag(P, T); S acts on the l right-angle rows of the left frame, T on
-    the s - r + l trailing rows of the right frame. Element 0 of the left
-    stack has S = I, and element 0 of the right stack has T = I.
+    Each draw takes a unitary P on each run of equal singular values,
+    shared by the (n_s, r, r) left frames blkdiag(P, S) and the (n_t, s, s)
+    right frames blkdiag(P, T); S acts on the l right-angle rows of the
+    left frame, T on the s - r + l trailing rows of the right frame, and
+    element 0 of each stack has S = I or T = I. The draws hold about
+    `samples` pairs (G, H): n_s = 1 at l = 0, where S is empty, and
+    n_s ~ n_t ~ sqrt(samples / 4) otherwise.
     """
-    P = np.eye(r - l, dtype=complex if complex_field else float)
-    for (i, j) in blocks:
-        P[i:j, i:j] = _random_unitaries(rng, 1, j - i, complex_field)[0]
-    Gs = _sample_group(rng, l, n_s, complex_field, r)
-    Gs[:, : r - l, : r - l] = P
-    Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
-    Ht[:, : r - l, : r - l] = P
-    return Gs, Ht
+    r, s = C.shape[0], D.shape[0]
+    complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
+    rng = np.random.default_rng(seed)
+    blocks = _sigma_blocks(sigma, r - l)
+    n_s = 1 if l == 0 else max(4, int(math.sqrt(samples / 4)))
+    n_t = max(4, samples // (4 * n_s))
+    for _ in range(4):
+        P = np.eye(r - l, dtype=complex if complex_field else float)
+        for (i, j) in blocks:
+            P[i:j, i:j] = _random_unitaries(rng, 1, j - i, complex_field)[0]
+        Gs = _sample_group(rng, l, n_s, complex_field, r)
+        Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
+        Gs[:, : r - l, : r - l] = Ht[:, : r - l, : r - l] = P
+        yield Gs, Ht
 
 
 def _congruence(G, M):
@@ -284,23 +289,17 @@ def _congruence(G, M):
 def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=0):
     """Sampled fiber-representation pairs over the principal-basis ambiguity.
 
-    Returns a list of (M_X, M_Y) array pairs. Pairs sharing the same
-    repeated-sigma block rotation reuse the same array objects, so the
-    list can be fed to generalized_hausdorff directly.
+    Returns a list of (M_X, M_Y) array pairs: the pairs faithful mode
+    evaluates with `samples=grid` and the same seed. Pairs of one draw
+    share their array objects, so the list can be fed to
+    generalized_hausdorff directly.
     """
+    _check_counts(grid=grid)
     if A.rank > B.rank:
         A, B = B, A
     prep = _prepare(A, B, tol)
-    r, s, l = prep.r, prep.s, prep.l
-    complex_field = np.iscomplexobj(prep.C) or np.iscomplexobj(prep.D)
-    rng = np.random.default_rng(seed)
-    blocks = _sigma_blocks(prep.sigma, r - l)
-    n_p = max(1, int(round(grid ** (1.0 / 3.0))))
-    n_s = 1 if l == 0 else n_p
-    n_t = max(1, grid // max(1, n_p * n_s))
     pairs = []
-    for _ in range(n_p):
-        Gs, Ht = _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field)
+    for Gs, Ht in _frame_draws(prep.C, prep.D, prep.sigma, prep.l, grid, seed):
         xs, ys = list(_herm(_congruence(Gs, prep.C))), list(_herm(_congruence(Ht, prep.D)))
         pairs.extend((x, y) for x in xs for y in ys)
     return pairs
@@ -312,20 +311,12 @@ def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*. At l = 0
     every pair has the pencil of (C, D11), so that one pair is the value.
     """
-    r, s = C.shape[0], D.shape[0]
+    r = C.shape[0]
     Cih = _inv_half(C)
     if l == 0:
         return float(_batch_values(spec, Cih, D[:r, :r]))
-    complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
-    rng = np.random.default_rng(seed)
-    blocks = _sigma_blocks(sigma, r - l)
-    n_p = 4
-    n_s = max(4, int(math.sqrt(samples / n_p)))
-    n_t = max(4, samples // (n_p * n_s))
-
     d1 = d2 = -np.inf
-    for _ in range(n_p):
-        Gs, Ht = _ambiguity_frames(rng, blocks, r, s, l, n_s, n_t, complex_field)
+    for Gs, Ht in _frame_draws(C, D, sigma, l, samples, seed):
         Y11 = _congruence(Ht[:, :r], D)
         vals = np.stack([_batch_values(spec, Cih @ G.conj().T, Y11) for G in Gs])
         d1 = max(d1, float(vals.min(axis=1).max()))
@@ -388,8 +379,9 @@ def _ascend(spec, C_invhalf, D, l, Ts):
 
     `linalg._descend` minimizes -F with the gradient -Omega, written in
     real coordinates of the skew-Hermitian k x k matrices, and steps by the
-    Cayley retraction. Returns the final stack; raises OptimizerError if no
-    start reached a stationary point within _ASCENT_MAX_ITER iterations.
+    Cayley retraction. Returns F at each start's final point, as the
+    descent certified it; raises OptimizerError if no start reached a
+    stationary point within _ASCENT_MAX_ITER iterations.
     """
     m, k = Ts.shape[0], Ts.shape[-1]
 
@@ -401,50 +393,52 @@ def _ascend(spec, C_invhalf, D, l, Ts):
         P = p.view(Ts.dtype).reshape(-1, k, k)
         return _cayley(T, t[:, None, None] * (0.5 * (P - np.swapaxes(P.conj(), -1, -2))))
 
-    Ts, _, done = _descend(fg, retract, Ts, _ASCENT_MAX_ITER)
+    _, f, done = _descend(fg, retract, Ts, _ASCENT_MAX_ITER)
     if not done.any():
         raise OptimizerError(
             f"degenerate-stratum ascent: none of {m} starts reached a stationary point")
-    return Ts
+    return -f
 
 
 def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0):
     """Fiber term on a degenerate stratum (l >= 1 right principal angles).
 
     Maximizes the extended divergence over the tail unitary group
-    U(s-r+l) conjugating the larger representation (algorithm1): a
-    batched Riemannian ascent from the best max(2, budget) of 512 sampled
-    tails (over the reals with a one-dimensional tail, the two signs are
-    enumerated instead). Deterministic given a seed.
+    U(s-r+l) (O(s-r+l) for real representations) conjugating the larger
+    representation (algorithm1): a batched Riemannian ascent from the best
+    max(2, budget) of 512 tails from the ambiguity sampler (over the reals
+    with a one-dimensional tail, the two signs are enumerated instead).
+    `budget` must be >= 1. Deterministic given a seed.
     """
-    C = np.asarray(Crep)
-    D = np.asarray(Drep)
+    _check_counts(budget=budget)
+    C, D = check_hermitian(Crep), check_hermitian(Drep)
     r, s = C.shape[0], D.shape[0]
     if l < 1 or r > s:
         raise DomainError("degenerate evaluator needs l >= 1 and r <= s")
     k = s - r + l
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
-
     Cih = _inv_half(C)
-    if k == 1 and not complex_field:
-        Ts = np.array([[[1.0]], [[-1.0]]])
-        return float(_conjugated_block_values(spec, Cih, D, l, Ts).max())
-
     rng = np.random.default_rng(seed)
+    if k == 1 and not complex_field:
+        signs = _sample_group(rng, 1, 2, False, 1)
+        return float(_conjugated_block_values(spec, Cih, D, l, signs).max())
 
     # coarse sampling pass to seed the local maximizations
-    n_coarse = 512
-    Ts = np.concatenate([
-        _random_unitaries(rng, n_coarse - 1, k, complex_field),
-        np.eye(k, dtype=complex if complex_field else float)[None],
-    ])
+    Ts = _sample_group(rng, k, 512, complex_field, k)
     coarse = _conjugated_block_values(spec, Cih, D, l, Ts)
     starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
-    final = _conjugated_block_values(spec, Cih, D, l, _ascend(spec, Cih, D, l, starts))
+    final = _fiber_values(spec, _ascend(spec, Cih, D, l, starts))
     return float(max(coarse.max(), final.max()))
 
 
 # --- the distance -----------------------------------------------------
+
+
+def _check_counts(**counts):
+    """Each given count (None stands for its default) must be >= 1."""
+    for name, count in counts.items():
+        if count is not None and count < 1:
+            raise DomainError(f"{name} must be >= 1, got {count}")
 
 
 def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
@@ -454,6 +448,7 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     `budget` (algorithm1 ascent starts, at least two run) and `samples`
     (faithful mode; None means 20000) must be >= 1.
     """
+    _check_counts(budget=budget, samples=samples)
     if A.rank == 0 or B.rank == 0:
         raise DomainError("zero-rank input")
     if A.rank > B.rank:
@@ -463,8 +458,6 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
 
 
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
-    if budget < 1 or (samples is not None and samples < 1):
-        raise DomainError(f"budget and samples must be >= 1, got {budget} and {samples}")
     gterm = grassmann_distance(spec.grassmann, prep.theta)
     if spec.hausdorff_mode == "faithful":
         fterm = _faithful_fiber(prep.C, prep.D, prep.sigma, prep.l, spec.fiber,
@@ -506,6 +499,7 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None, tol=N
     """
     if not mats:
         raise DomainError("empty input list")
+    _check_counts(budget=budget, samples=samples)
     n = len(mats)
     out = np.zeros((n, n))
     kw = {"seed": seed, "budget": budget, "samples": samples}

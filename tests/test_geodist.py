@@ -100,6 +100,13 @@ def test_representation_set_full_rank_collapses():
         assert np.abs(ps.pencil_eigenvalues(X, Y) - base).max() <= 1e-9
 
 
+def test_representation_set_grid_below_one_raises_domain_error():
+    A, B = example_pair()
+    for grid in (0, -5):
+        with pytest.raises(ps.DomainError, match=">= 1"):
+            ps.representation_set(A, B, grid=grid)
+
+
 # --- the distance ------------------------------------------------------
 
 
@@ -257,6 +264,18 @@ def test_degenerate_constant_objective_ignores_budget():
     assert abs(v1 - v2) <= 1e-9
 
 
+def test_degenerate_fiber_validates_its_arguments():
+    C, D = np.eye(2), np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(ps.DomainError, match=">= 1"):
+        ps.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=-3)
+    with pytest.raises(ps.DomainError, match="non-finite"):
+        ps.gd_degenerate_fiber(np.array([[1.0, np.nan], [np.nan, 1.0]]), D, 1, FD.geodesic())
+    with pytest.raises(ps.DomainError, match="not Hermitian"):
+        ps.gd_degenerate_fiber(np.array([[1.0, 0.5], [0.0, 1.0]]), D, 1, FD.geodesic())
+    with pytest.raises(ps.DomainError, match="not Hermitian"):
+        ps.gd_degenerate_fiber(C, D + np.triu(np.ones((3, 3)), 1), 1, FD.geodesic())
+
+
 def test_determinism_same_seed_same_result():
     A, B = example_pair()
     spec = ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful")
@@ -287,8 +306,9 @@ def test_budget_and_samples_below_one_raise_domain_error():
             for a, b in ((A, B), (A, generic)):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.gd(a, b, spec, **kw)
-            with pytest.raises(ps.DomainError, match=">= 1"):
-                ps.pairwise_gram([A, B], spec, **kw)
+            for mats in ([A, B], [A]):
+                with pytest.raises(ps.DomainError, match=">= 1"):
+                    ps.pairwise_gram(mats, spec, **kw)
     assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
     assert ps.gd(A, B, GEO_GEO, budget=1).stratum_index == 2
 
@@ -533,6 +553,50 @@ def test_faithful_generic_value_is_the_representation_set_value(complex_field):
                                             ps.representation_set(A, B, grid=64))
             assert res.stratum_index == 0
             assert abs(res.fiber_term - want) <= 1e-12 * want, (n, r, s, fiber.kind)
+
+
+@pytest.mark.parametrize("pair", ["worked", "complex"])
+def test_faithful_degenerate_value_is_the_representation_set_value(pair):
+    # faithful mode and representation_set draw the same frames, so the
+    # sampled max-min is the Hausdorff value over that set
+    if pair == "worked":
+        A, B = example_pair()
+    else:
+        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+    for fiber in (FD.geodesic(), FD.kl()):
+        for samples, seed in ((1, 0), (50, 3), (300, 7)):
+            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
+                        samples=samples, seed=seed)
+            want = ps.generalized_hausdorff(
+                lambda X, Y: ps.pointset_minus(fiber, X, Y).value,
+                ps.representation_set(A, B, grid=samples, seed=seed))
+            assert res.stratum_index == 2
+            assert abs(res.fiber_term - want) <= 1e-12 * want, (pair, fiber.kind, samples)
+
+
+def test_real_sup_is_at_most_the_complex_sup():
+    # for real inputs algorithm1 ranges over O(k), a documented choice; over
+    # U(k) the sup can be strictly larger. The pair is the ninth draw of
+    # bench/workloads._degenerate_pair(default_rng(5), 12, r, s, l), with
+    # (r, s, l) cycling through the shapes below.
+    rng = np.random.default_rng(5)
+    shapes = ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3), (5, 7, 3), (3, 3, 2), (3, 3, 1))
+    for i in range(9):
+        r, s, l = shapes[i % 7]
+        Q = rand_orthogonal(rng, 12)
+        theta = rng.uniform(0.2, 1.2, size=r - l)
+        tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
+        frames = (Q[:, :r] @ rand_orthogonal(rng, r),
+                  np.hstack([tilted, Q[:, 2 * r - l : r + s]]) @ rand_orthogonal(rng, s))
+        a, b = (0.5 * (M + M.T) for M in
+                ((F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.T for F in frames))
+    spec = ps.MetricSpec(GM.GEODESIC, FD.kl())
+    real = ps.gd(ps.PsdMatrix(a), ps.PsdMatrix(b), spec)
+    cplx = ps.gd(ps.PsdMatrix(a.astype(complex)), ps.PsdMatrix(b.astype(complex)), spec)
+    assert real.stratum_index == cplx.stratum_index == 2
+    # 0.2896882 over O(3) against 0.2897099 over U(3)
+    assert real.fiber_term <= cplx.fiber_term
+    assert cplx.fiber_term - real.fiber_term > 1e-5
 
 
 def test_faithful_generic_value_ignores_seed_and_samples():

@@ -60,3 +60,86 @@ def test_closed_form_padding(pair, pad_a, pad_b):
     A, B = ps.PsdMatrix(a), ps.PsdMatrix(b)
     padded = ps.embed_pad(A, A.n + pad_a), ps.embed_pad(B, B.n + pad_b)
     _assert_same(ps.gd(A, B, spec), ps.gd(*padded, spec))
+
+
+@st.composite
+def unequal_rank_pairs(draw, l_min, l_max):
+    """A random real or complex pair of ranks r < s in C^(r+s) whose ranges
+    have l right principal angles, l_min <= l <= min(l_max, r), a fiber
+    divergence and the generator. range(A) = span(q_0..q_{r-1}); range(B)
+    holds r - l vectors tilted from q_0..q_{r-l-1} and s - r + l directions
+    outside range(A)."""
+    r = draw(st.integers(max(1, l_min), 3))
+    s = draw(st.integers(r + 1, 4))
+    l = draw(st.integers(l_min, min(l_max, r)))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = _unitary(rng, r + s, complex_field)
+    theta = rng.uniform(0.2, 1.2, size=r - l)
+    tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
+    mats = []
+    for F in (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]])):
+        M = (F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.conj().T
+        mats.append(ps.PsdMatrix(0.5 * (M + M.conj().T)))
+    return mats[0], mats[1], l, ps.parse_divergence(draw(st.sampled_from(FIBERS)))
+
+
+def _symmetric_across_ranks(pair, grassmann, mode, expected):
+    A, B, l, fiber = pair
+    spec = ps.MetricSpec(grassmann, fiber, mode)
+    ab, ba = (ps.gd(X, Y, spec, seed=3, budget=4, samples=100) for X, Y in ((A, B), (B, A)))
+    assert ab.mode == expected and ab.stratum_index == l
+    assert ab.to_json() == ba.to_json()
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(unequal_rank_pairs(0, 0), st.sampled_from(list(GM)))
+def test_closed_form_symmetric_across_unequal_ranks(pair, grassmann):
+    _symmetric_across_ranks(pair, grassmann, "algorithm1", "closedForm")
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(unequal_rank_pairs(1, 3), st.sampled_from(list(GM)))
+def test_degenerate_sup_symmetric_across_unequal_ranks(pair, grassmann):
+    _symmetric_across_ranks(pair, grassmann, "algorithm1", "optimizedDegenerate")
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(unequal_rank_pairs(0, 3), st.sampled_from(list(GM)))
+def test_faithful_symmetric_across_unequal_ranks(pair, grassmann):
+    _symmetric_across_ranks(pair, grassmann, "faithful", "faithfulSampled")
+
+
+@st.composite
+def mixed_rank_sets(draw):
+    """2-4 real or complex PSD matrices in C^n of random ranks. Some are
+    diagonal on a random support, so their pairs often sit on degenerate
+    strata."""
+    n = draw(st.integers(2, 5))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(2, 4))):
+        r = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            d = np.zeros(n)
+            d[rng.choice(n, r, replace=False)] = rng.uniform(0.5, 2.0, size=r)
+            M = np.diag(d).astype(complex if complex_field else float)
+        else:
+            M = _psd(rng, n, r, complex_field)
+            M = 0.5 * (M + M.conj().T)
+        mats.append(ps.PsdMatrix(M))
+    return mats
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(mixed_rank_sets(), st.sampled_from(FIBERS))
+def test_pairwise_gram_matches_gd(mats, fiber):
+    spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+    gram = ps.pairwise_gram(mats, spec, seed=1, budget=2)
+    for i, A in enumerate(mats):
+        assert gram[i, i] == 0.0
+        for j, B in enumerate(mats):
+            if i != j:
+                want = ps.gd(A, B, spec, seed=1, budget=2).total
+                assert abs(gram[i, j] - want) <= 1e-12 * abs(want), (i, j, gram[i, j], want)
