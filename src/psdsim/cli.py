@@ -33,8 +33,8 @@ def _load_psd(path, args):
     entries = _read_matrix(path, args)
     try:
         return PsdMatrix(entries,
-                         tol_rank=getattr(args, "tol", None) or TOL_RANK,
-                         tol_psd=getattr(args, "tol_psd", None) or TOL_PSD)
+                         tol_rank=TOL_RANK if args.tol is None else args.tol,
+                         tol_psd=TOL_PSD if args.tol_psd is None else args.tol_psd)
     except DomainError as e:
         raise DomainError(f"{path}: {e}")
 

@@ -26,7 +26,6 @@ from .divergences import FiberDivergence, _fiber_values
 from .errors import DomainError, OptimizerError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
-    TOL_RANK,
     PsdMatrix,
     _descend,
     _herm,
@@ -81,21 +80,15 @@ class GdResult:
         }
 
     def to_json(self):
-        def num(x):
-            if math.isinf(x):
-                return "Infinity"
-            return f"{x:.17g}"
+        """to_dict as JSON: numbers to 17 significant digits, infinities as Infinity."""
+        def enc(v):
+            if isinstance(v, str):
+                return json.dumps(v)
+            if isinstance(v, list):
+                return "[" + ", ".join(map(enc, v)) + "]"
+            return "Infinity" if math.isinf(v) else f"{v:.17g}"
 
-        parts = [
-            f'"total": {num(self.total)}',
-            f'"grassmann_term": {num(self.grassmann_term)}',
-            f'"fiber_term": {num(self.fiber_term)}',
-            f'"stratum_index": {self.stratum_index}',
-            '"angles": [' + ", ".join(num(t) for t in self.angles) + "]",
-            '"pencil_spectrum": [' + ", ".join(num(x) for x in self.pencil_spectrum) + "]",
-            f'"mode": {json.dumps(self.mode)}',
-        ]
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(f'"{k}": {enc(v)}' for k, v in self.to_dict().items()) + "}"
 
 
 # --- generalized Hausdorff functional ---------------------------------
@@ -166,15 +159,16 @@ class _Prepared:
         """The same pair with its arguments swapped; equal ranks only.
 
         M* = Qh* diag(sigma) P*, so the factors trade places and K becomes
-        K^{-1}: the reverse pencil spectrum is 1/mu.
+        K^{-1}: the reverse pencil spectrum is 1/mu. `tol` is the new left
+        argument's tol_rank, which decides the reverse stratum.
         """
         return replace(self, l=int(np.count_nonzero(self.sigma <= tol)),
                        mu=1.0 / self.mu[::-1], wA=self.wB, P=self.Qh.conj().T,
                        wB=self.wA, Qh=self.P.conj().T)
 
 
-def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
-    """Aligned fiber pair; assumes rank(A) <= rank(B)."""
+def _prepare(A: PsdMatrix, B: PsdMatrix):
+    """Aligned fiber pair; assumes rank(A) <= rank(B). A.tol_rank decides l."""
     n = max(A.n, B.n)
     UA, wA = A.compact_factors()
     UB, wB = B.compact_factors()
@@ -191,7 +185,7 @@ def _prepare(A: PsdMatrix, B: PsdMatrix, tol):
     theta = small_angles_refined(sigma, UA, UB @ Qh[:r].conj().T)
     K = (P @ Qh[:r]) * np.sqrt(wB) / np.sqrt(wA)[:, None]
     mu = np.linalg.svd(K, compute_uv=False) ** 2
-    return _Prepared(sigma=sigma, theta=theta, l=int(np.count_nonzero(sigma <= tol)),
+    return _Prepared(sigma=sigma, theta=theta, l=int(np.count_nonzero(sigma <= A.tol_rank)),
                      mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
@@ -286,7 +280,7 @@ def _congruence(G, M):
     return G @ M @ np.swapaxes(G.conj(), -1, -2)
 
 
-def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=0):
+def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     """Sampled fiber-representation pairs over the principal-basis ambiguity.
 
     Returns a list of (M_X, M_Y) array pairs: the pairs faithful mode
@@ -297,7 +291,7 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, tol=TOL_RANK, seed=
     _check_counts(grid=grid)
     if A.rank > B.rank:
         A, B = B, A
-    prep = _prepare(A, B, tol)
+    prep = _prepare(A, B)
     pairs = []
     for Gs, Ht in _frame_draws(prep.C, prep.D, prep.sigma, prep.l, grid, seed):
         xs, ys = list(_herm(_congruence(Gs, prep.C))), list(_herm(_congruence(Ht, prep.D)))
@@ -442,19 +436,17 @@ def _check_counts(**counts):
 
 
 def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
-       samples=None, tol=None) -> GdResult:
+       samples=None) -> GdResult:
     """Geometric distance between two PSD matrices of any size and rank.
 
     `budget` (algorithm1 ascent starts, at least two run) and `samples`
-    (faithful mode; None means 20000) must be >= 1.
+    (faithful mode; None means 20000) must be >= 1. The lower-rank
+    argument's tol_rank (the first one's at equal ranks) decides the stratum.
     """
     _check_counts(budget=budget, samples=samples)
-    if A.rank == 0 or B.rank == 0:
-        raise DomainError("zero-rank input")
     if A.rank > B.rank:
         A, B = B, A  # the measurement is symmetric across unequal ranks
-    tol = A.tol_rank if tol is None else tol
-    return _evaluate(_prepare(A, B, tol), spec, seed, budget, samples)
+    return _evaluate(_prepare(A, B), spec, seed, budget, samples)
 
 
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
@@ -489,7 +481,7 @@ def _pair_context(i, j):
         raise DomainError(f"pair ({i}, {j}): {e}") from e
 
 
-def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None, tol=None):
+def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
     """Matrix of pairwise distances; diagonal exactly zero.
 
     Each unordered pair is aligned once. Pairs of unequal rank are
@@ -508,14 +500,14 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None, tol=N
             A, B = mats[i], mats[j]
             with _pair_context(i, j):
                 if A.rank != B.rank:
-                    out[i, j] = out[j, i] = gd(A, B, spec, tol=tol, **kw).total
+                    out[i, j] = out[j, i] = gd(A, B, spec, **kw).total
                     continue
-                prep = _prepare(A, B, A.tol_rank if tol is None else tol)
+                prep = _prepare(A, B)
                 out[i, j] = _evaluate(prep, spec, **kw).total
-            back = prep.reversed(B.tol_rank if tol is None else tol)
+            back = prep.reversed(B.tol_rank)
             with _pair_context(j, i):
                 if spec.hausdorff_mode == "faithful" or prep.l or back.l:
-                    out[j, i] = gd(B, A, spec, tol=tol, **kw).total
+                    out[j, i] = gd(B, A, spec, **kw).total
                 else:
                     out[j, i] = _evaluate(back, spec, **kw).total
     return out

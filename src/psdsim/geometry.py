@@ -109,26 +109,25 @@ def transport_curve(A: PsdMatrix, geo: SubspaceGeodesic) -> PsdCurve:
     return PsdCurve(evaluator=evaluate, kind="parallelTransport")
 
 
-def _quasi_geodesic_parts(A: PsdMatrix, B: PsdMatrix, allow_completion=False):
+def _quasi_geodesic_parts(A: PsdMatrix, B: PsdMatrix):
     if A.n != B.n:
         raise DomainError(f"ambient mismatch: {A.n} vs {B.n}")
     if A.rank != B.rank:
         raise DomainError(f"quasi-geodesic needs equal rank, got {A.rank} vs {B.rank}")
-    geo = subspace_geodesic(range_subspace(A), range_subspace(B),
-                            allow_completion=allow_completion)
+    geo = subspace_geodesic(range_subspace(A), range_subspace(B))
     C = fiber_representation(A, geo.evaluator(0.0))
     Dp = fiber_representation(B, geo.evaluator(1.0))
     return geo, C, Dp
 
 
-def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float, allow_completion=False) -> PsdMatrix:
+def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float) -> PsdMatrix:
     """mu(t) = u(t) S(t) u(t)* pairing the base geodesic with the fiber geodesic."""
-    return quasi_geodesic_curve(A, B, allow_completion).evaluator(t)
+    return quasi_geodesic_curve(A, B).evaluator(t)
 
 
-def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix, allow_completion=False) -> PsdCurve:
+def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix) -> PsdCurve:
     """quasi_geodesic as a curve; C and C^{-1/2} D' C^{-1/2} are decomposed once."""
-    geo, C, Dp = _quasi_geodesic_parts(A, B, allow_completion)
+    geo, C, Dp = _quasi_geodesic_parts(A, B)
     _, w, V = check_pd(C, name="fiber representation")
     Chalf = _eig_power(w, V, 0.5)
     Cih = _eig_power(w, V, -0.5)

@@ -15,9 +15,13 @@ import numpy as np
 
 from .errors import DomainError
 
-# default tolerances, relative; overridable per call
+# default tolerances of a PsdMatrix, relative
 TOL_RANK = 1e-10
 TOL_PSD = 1e-8
+# fixed tolerances: Hermitian symmetry, relative to 1 + max|M|, and a basis
+# lying inside a range, absolute
+TOL_HERMITIAN = 1e-12
+TOL_IN_RANGE = 1e-8
 
 
 def _as_array(M):
@@ -32,30 +36,29 @@ def _herm(M):
     return 0.5 * (M + np.swapaxes(M.conj(), -1, -2))
 
 
-def check_hermitian(M, tol=1e-12):
+def check_hermitian(M):
     M = _as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
     scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
-    if np.abs(M - M.conj().T).max() > tol * scale:
+    if np.abs(M - M.conj().T).max() > TOL_HERMITIAN * scale:
         raise DomainError("matrix is not Hermitian at tolerance")
     return _herm(M)
 
 
-def hermitian_eig(M, tol=1e-12):
+def hermitian_eig(M):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (w, V) with M = V diag(w) V* and V*V = I.
     """
-    M = check_hermitian(M, tol=tol)
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(check_hermitian(M))
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def compact_svd(A, tol=TOL_RANK):
-    """SVD truncated to singular values > tol * sigma_max.
+def compact_svd(A):
+    """SVD truncated to singular values > TOL_RANK * sigma_max.
 
     Returns (U, s, V) with A ~= U diag(s) V*. A zero matrix yields empty
     factors (rank 0).
@@ -65,7 +68,7 @@ def compact_svd(A, tol=TOL_RANK):
     if s.size == 0 or s[0] <= 0.0:
         k = 0
     else:
-        k = int(np.count_nonzero(s > tol * s[0]))
+        k = int(np.count_nonzero(s > TOL_RANK * s[0]))
     return U[:, :k], s[:k], Vh[:k].conj().T
 
 
@@ -74,20 +77,18 @@ def _eig_power(w, V, p):
     return _herm((V * w**p) @ V.conj().T)
 
 
-def psd_power(M, p, tol=TOL_RANK):
-    """M**p for positive definite M through the eigendecomposition."""
-    w, V = hermitian_eig(M)
-    if w.size == 0 or w[-1] <= tol * max(w[0], 0.0) or w[-1] <= 0.0:
-        raise DomainError("psd_power requires a positive definite matrix")
-    return _eig_power(w, V, p)
-
-
-def check_pd(M, tol=TOL_RANK, name="matrix"):
+def check_pd(M, name="matrix"):
     """Validate that M is Hermitian positive definite; returns (M, w, V)."""
     w, V = hermitian_eig(M)
-    if w.size == 0 or w[-1] <= tol * max(w[0], 0.0) or w[-1] <= 0.0:
+    if w.size == 0 or w[-1] <= TOL_RANK * max(w[0], 0.0) or w[-1] <= 0.0:
         raise DomainError(f"{name} is not positive definite at tolerance")
     return _herm(_as_array(M)), w, V
+
+
+def psd_power(M, p):
+    """M**p for positive definite M through the eigendecomposition."""
+    _, w, V = check_pd(M, name="psd_power argument")
+    return _eig_power(w, V, p)
 
 
 def _inv_half_from(w, V):
@@ -121,7 +122,7 @@ def _pencil_from_eig(w, V, Y):
     return lam
 
 
-def pencil_eigenvalues(X, Y, tol=TOL_RANK):
+def pencil_eigenvalues(X, Y):
     """Spectrum of X^{-1} Y for a positive definite pair, descending.
 
     Equal to the spectrum of X^{-1/2} Y X^{-1/2}; all values positive.
@@ -130,7 +131,7 @@ def pencil_eigenvalues(X, Y, tol=TOL_RANK):
     Y = _as_array(Y)
     if X.shape != Y.shape:
         raise DomainError(f"pencil size mismatch: {X.shape} vs {Y.shape}")
-    _, wx, Vx = check_pd(X, tol=tol, name="pencil left argument")
+    _, wx, Vx = check_pd(X, name="pencil left argument")
     return _pencil_from_eig(wx, Vx, check_hermitian(Y))
 
 
@@ -139,7 +140,10 @@ class PsdMatrix:
     """A finite Hermitian PSD matrix with cached spectral data.
 
     The eigendecomposition is computed once at construction; rank and
-    range queries reuse it.
+    range queries reuse it. `tol_rank` (relative to the largest eigenvalue)
+    decides the rank, and so the stratum of every pair in which this is the
+    lower-rank argument; `tol_psd` bounds the negative eigenvalues accepted.
+    Both must be finite and >= 0.
     """
 
     entries: np.ndarray
@@ -149,6 +153,9 @@ class PsdMatrix:
     _eigvecs: np.ndarray = _dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, tol in (("tol_rank", self.tol_rank), ("tol_psd", self.tol_psd)):
+            if not 0.0 <= tol < np.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {tol}")
         self.entries = check_hermitian(self.entries)
         w, V = np.linalg.eigh(self.entries)
         wmax = w[-1] if w.size else 0.0
@@ -221,15 +228,9 @@ class PrincipalSystem:
     right_frame: np.ndarray
 
 
-def range_subspace(A: PsdMatrix, tol=None) -> Subspace:
+def range_subspace(A: PsdMatrix) -> Subspace:
     """Orthonormal frame for the column space of A (the bundle projection)."""
-    if tol is not None and tol != A.tol_rank:
-        w, V = A.eigensystem()
-        wmax = w[0] if w.size else 0.0
-        r = int(np.count_nonzero(w > tol * wmax)) if wmax > 0 else 0
-        return Subspace(V[:, :r])
-    U, _ = A.compact_factors()
-    return Subspace(U)
+    return Subspace(A.compact_factors()[0])
 
 
 def embed_pad(A: PsdMatrix, n: int) -> PsdMatrix:
@@ -278,9 +279,9 @@ def principal_system(U: Subspace, V: Subspace) -> PrincipalSystem:
     )
 
 
-def stratum_index(ps: PrincipalSystem, tol=TOL_RANK) -> int:
-    """l = dim(U intersect V-perp) = number of vanishing singular values."""
-    return int(np.count_nonzero(ps.sigma <= tol))
+def stratum_index(ps: PrincipalSystem) -> int:
+    """l = dim(U intersect V-perp) = number of singular values <= TOL_RANK."""
+    return int(np.count_nonzero(ps.sigma <= TOL_RANK))
 
 
 def _descend(fg, retract, X, max_iter):
@@ -352,7 +353,7 @@ def _bfgs_update(Hinv, scaled, idx, s, y):
     Hinv[idx] = H
 
 
-def fiber_representation(A: PsdMatrix, basis, tol=1e-8) -> np.ndarray:
+def fiber_representation(A: PsdMatrix, basis) -> np.ndarray:
     """basis* A basis for an orthonormal basis inside range(A).
 
     The result is the positive definite matrix of A viewed as an operator
@@ -361,6 +362,6 @@ def fiber_representation(A: PsdMatrix, basis, tol=1e-8) -> np.ndarray:
     basis = _as_array(basis)
     U, _ = A.compact_factors()
     resid = basis - U @ (U.conj().T @ basis)
-    if basis.size and np.abs(resid).max() > tol:
+    if basis.size and np.abs(resid).max() > TOL_IN_RANGE:
         raise DomainError("basis does not lie inside range(A) at tolerance")
     return _herm(basis.conj().T @ A.entries @ basis)

@@ -16,14 +16,12 @@ from .errors import ParseError
 MAGIC = "psdm"
 
 
-def format_matrix(M, field=None) -> str:
+def format_matrix(M) -> str:
+    """One matrix block; the field tag is complex iff M has a complex dtype."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise ParseError("can only serialize 2-d arrays")
-    if field is None:
-        field = "complex" if np.iscomplexobj(M) else "real"
-    if field not in ("real", "complex"):
-        raise ParseError(f"unknown field tag {field!r}")
+    field = "complex" if np.iscomplexobj(M) else "real"
     rows, cols = M.shape
     head = f"{MAGIC} {field} {rows}" + ("" if rows == cols else f" {cols}")
     lines = [head]
@@ -34,8 +32,6 @@ def format_matrix(M, field=None) -> str:
                 z = complex(z)
                 vals.extend((z.real, z.imag))
         else:
-            if np.iscomplexobj(M):
-                raise ParseError("complex entries cannot be written with a real field tag")
             vals = [float(v) for v in M[i]]
         lines.append(" ".join(f"{v:.17g}" for v in vals))
     return "\n".join(lines) + "\n"

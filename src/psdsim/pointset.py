@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import GEODESIC_AB, FiberDivergence, _fiber_values, _objective
+from .divergences import (GEODESIC_AB, FiberDivergence, _fiber_values, _objective,
+                          geodesic_ab_is_distance_check)
 from .errors import DomainError, OptimizerError
 from .linalg import (
     _descend,
@@ -178,7 +179,7 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     iff beta = 0 or r = s.
     """
     C, D, r, s, eigC = _check_pair(C, D)
-    if not (alpha > 0.0 and beta > -alpha / s):
+    if not geodesic_ab_is_distance_check(alpha, beta, s):
         raise DomainError("parameter region requires alpha > 0 and beta > -alpha/s")
     if side not in ("minus", "plus"):
         raise DomainError(f"unknown side {side!r}")

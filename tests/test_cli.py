@@ -152,6 +152,25 @@ def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
     assert code == 3 and out == "" and ">= 1" in err
 
 
+def test_negative_tolerance_exits_3(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
+    b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)
+    for flag in ("--tol", "--tol-psd"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, flag, "-1")
+        assert code == 3 and out == "" and ">= 0" in err, flag
+
+
+def test_zero_tolerance_is_honoured(tmp_path, capsys):
+    # at the default tol_rank 1e-12 is below the rank cut; at --tol 0 it counts
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 1e-12]))
+    counts = []
+    for flags in ([], ["--tol", "0"], ["--tol", "0", "--tol-psd", "0"]):
+        code, out, _ = run_cli(capsys, "dist", "--a", a, "--b", a, *flags)
+        assert code == 0
+        counts.append(len(json.loads(out)["angles"]))
+    assert counts == [1, 2, 2]
+
+
 def test_complex_requires_flag(tmp_path, capsys):
     M = np.eye(2) + 0j
     a = write_matrix(tmp_path / "a.psdm", np.eye(2))

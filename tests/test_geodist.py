@@ -219,8 +219,8 @@ def test_zero_characterization_both_directions():
     A2 = rand_psd_rank(rng, 5, 2)
     B2 = rand_psd_rank(rng, 5, 3)
     assert ps.gd(A2, B2, GEO_GEO).total > 1e-3
-    # shrinking keeps domination by the compression, so the zero survives;
-    # growing past the compression breaks it
+    # growing A keeps it dominating the compression, so the zero survives;
+    # shrinking it below the compression breaks it
     assert ps.gd(ps.PsdMatrix(A.entries * 1.5), B, GEO_GEO).total <= 1e-7
     res = ps.gd(ps.PsdMatrix(A.entries * 0.5), B, GEO_GEO)
     assert abs(res.total - math.sqrt(2.0) * math.log(2.0)) <= 1e-9  # both pencil roots are 2
@@ -555,14 +555,21 @@ def test_faithful_generic_value_is_the_representation_set_value(complex_field):
             assert abs(res.fiber_term - want) <= 1e-12 * want, (n, r, s, fiber.kind)
 
 
-@pytest.mark.parametrize("pair", ["worked", "complex"])
+@pytest.mark.parametrize("pair", ["worked", "complex", "tol_rank"])
 def test_faithful_degenerate_value_is_the_representation_set_value(pair):
     # faithful mode and representation_set draw the same frames, so the
     # sampled max-min is the Hausdorff value over that set
     if pair == "worked":
         A, B = example_pair()
-    else:
+    elif pair == "complex":
         A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+    else:
+        # the worked pair with B's range tilted toward A's: principal cosines
+        # 1, 1e-8, 1e-8, two right angles at tol_rank 1e-6 but none at 1e-10
+        c, s = math.cos(1e-8), math.sin(1e-8)
+        R = np.eye(5)
+        R[np.ix_([1, 3], [1, 3])] = R[np.ix_([2, 4], [2, 4])] = [[c, -s], [s, c]]
+        A, B = (ps.PsdMatrix(M, tol_rank=1e-6) for M in (EXAMPLE_A, R @ EXAMPLE_B @ R.T))
     for fiber in (FD.geodesic(), FD.kl()):
         for samples, seed in ((1, 0), (50, 3), (300, 7)):
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),

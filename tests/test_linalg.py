@@ -109,6 +109,13 @@ def test_psdmatrix_validation():
     assert A.rank == 2 and A.n == 3 and A.field == "real"
 
 
+@pytest.mark.parametrize("name", ["tol_rank", "tol_psd"])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
+def test_psdmatrix_rejects_bad_tolerances(name, bad):
+    with pytest.raises(ps.DomainError, match=name):
+        ps.PsdMatrix(np.eye(2), **{name: bad})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_entries_rejected(bad):
     M = np.array([[bad, 0.0], [0.0, 1.0]])

@@ -143,3 +143,33 @@ def test_pairwise_gram_matches_gd(mats, fiber):
             if i != j:
                 want = ps.gd(A, B, spec, seed=1, budget=2).total
                 assert abs(gram[i, j] - want) <= 1e-12 * abs(want), (i, j, gram[i, j], want)
+
+
+@st.composite
+def nested_pairs(draw):
+    """A random real or complex B of rank s in C^n, an orthonormal n x r
+    frame U inside range(B), and a metric spec."""
+    n = draw(st.integers(1, 6))
+    s = draw(st.integers(1, n))
+    r = draw(st.integers(1, s))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = _unitary(rng, n, complex_field)[:, :s]
+    B = (F * rng.uniform(0.5, 2.0, size=s)) @ F.conj().T
+    U = F @ _unitary(rng, s, complex_field)[:, :r]
+    spec = ps.MetricSpec(draw(st.sampled_from(list(GM))),
+                         ps.parse_divergence(draw(st.sampled_from(FIBERS))))
+    return 0.5 * (B + B.conj().T), U, spec
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(nested_pairs())
+def test_zero_characterization(pair):
+    # with range(A) inside range(B), GD(A, B) = 0 exactly when A dominates
+    # the compression U* B U of B onto range(A)
+    B, U, spec = pair
+    comp = U.conj().T @ B @ U
+    for t in (1.0, 1.5, 0.7):
+        M = U @ (t * comp) @ U.conj().T
+        total = ps.gd(ps.PsdMatrix(0.5 * (M + M.conj().T)), ps.PsdMatrix(B), spec).total
+        assert total <= 1e-10 if t >= 1.0 else total > 1e-3, (t, total)
