@@ -118,73 +118,45 @@ class FiberDivergence:
         return 0.5 if self.kind == GEODESIC_AB else 1.0
 
 
-def _g_terms(spec: FiberDivergence, lam):
-    """Per-eigenvalue terms g(lambda), before symmetrization."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise DomainError("pencil spectrum must be positive")
+# per-eigenvalue g(lambda) and g'(lambda) of each family, given log(lambda)
+# and the parameters; the geodesic family's entry is its beta = 0 case
+_TERMS = {
+    AB: (lambda x, log, a, b: np.log((a * x**b + b * x ** (-a)) / (a + b)) / (a * b),
+         lambda x, log, a, b: (a * b * x ** (b - 1.0) - a * b * x ** (-a - 1.0))
+         / (a * b * (a * x**b + b * x ** (-a)))),
+    STEIN: (lambda x, log, a, b: (x ** (-a) + a * log - 1.0) / a**2,
+            lambda x, log, a, b: (1.0 - x ** (-a)) / (a * x)),
+    BURG: (lambda x, log, a, b: (x**a - a * log - 1.0) / a**2,
+           lambda x, log, a, b: (x**a - 1.0) / (a * x)),
+    # 1 - alpha log lambda = 1 + log lambda^{-alpha}
+    ITAKURA_SAITO: (lambda x, log, a, b: (-a * log - np.log(1.0 - a * log)) / a**2,
+                    lambda x, log, a, b: log / (x * (1.0 - a * log))),
+    KL: (lambda x, log, a, b: 0.5 * (1.0 / x + log - 1.0),
+         lambda x, log, a, b: (x - 1.0) / (2.0 * x**2)),
+    GEODESIC_AB: (lambda x, log, a, b: a * log**2,
+                  lambda x, log, a, b: 2.0 * a * log / x),
+}
+
+
+def per_eigenvalue_terms(spec: FiberDivergence, lam, with_grad=False):
+    """g(lambda), and with `with_grad` also g'(lambda), symmetrized as
+    (g(lambda) + g(1/lambda)) / 2 if asked: not finite where the family is
+    undefined, NaN at lambda <= 0. _objective calls it under np.errstate."""
+    g, dg = _TERMS[spec.kind]
     a, b = spec.alpha, spec.beta
-    log = np.log(lam)
-    if spec.kind == AB:
-        num = a * lam**b + b * lam ** (-a)
-        arg = num / (a + b)
-        if np.any(arg <= 0.0):
-            raise DomainError("alpha-beta log-det argument nonpositive for this spectrum")
-        return np.log(arg) / (a * b)
-    if spec.kind == STEIN:
-        return (lam ** (-a) + a * log - 1.0) / a**2
-    if spec.kind == BURG:
-        return (lam**a - a * log - 1.0) / a**2
-    if spec.kind == ITAKURA_SAITO:
-        den = 1.0 - a * log  # = 1 + log lambda^{-alpha}
-        if np.any(den <= 0.0):
-            raise DomainError("Itakura-Saito domain violation: 1 + log lambda^{-alpha} <= 0")
-        return (-a * log - np.log(den)) / a**2
-    if spec.kind == KL:
-        return 0.5 * (1.0 / lam + log - 1.0)
-    if spec.kind == GEODESIC_AB:
-        if b != 0.0:
-            raise DomainError("no per-eigenvalue form for the geodesic family with beta != 0")
-        return a * log**2
-    raise DomainError(f"unhandled family {spec.kind!r}")
+    lam = np.where(lam > 0.0, lam, np.nan)
 
-
-def per_eigenvalue_terms(spec: FiberDivergence, lam):
-    """g(lambda) terms including symmetrization (average of lam and 1/lam)."""
-    lam = np.asarray(lam, dtype=float)
-    terms = _g_terms(spec, lam)
-    if spec.symmetrized:
-        terms = 0.5 * (terms + _g_terms(spec, 1.0 / lam))
-    return terms
-
-
-def _g_derivative(spec: FiberDivergence, lam):
-    """d g / d lambda, matching per_eigenvalue_terms."""
-    lam = np.asarray(lam, dtype=float)
-
-    def raw(x):
-        a, b = spec.alpha, spec.beta
+    def terms(x):
         log = np.log(x)
-        if spec.kind == AB:
-            num = a * x**b + b * x ** (-a)
-            dnum = a * b * x ** (b - 1.0) - a * b * x ** (-a - 1.0)
-            return dnum / (a * b * num)
-        if spec.kind == STEIN:
-            return (1.0 - x ** (-a)) / (a * x)
-        if spec.kind == BURG:
-            return (x**a - 1.0) / (a * x)
-        if spec.kind == ITAKURA_SAITO:
-            return log / (x * (1.0 - a * log))
-        if spec.kind == KL:
-            return (x - 1.0) / (2.0 * x**2)
-        if spec.kind == GEODESIC_AB:
-            return 2.0 * a * log / x
-        raise DomainError(f"unhandled family {spec.kind!r}")
+        return g(x, log, a, b), dg(x, log, a, b) if with_grad else None
 
-    d = raw(lam)
+    t, d = terms(lam)
     if spec.symmetrized:
-        d = 0.5 * (d - raw(1.0 / lam) / lam**2)
-    return d
+        t_inv, d_inv = terms(1.0 / lam)
+        t = 0.5 * (t + t_inv)
+        if with_grad:
+            d = 0.5 * (d - d_inv / lam**2)
+    return (t, d) if with_grad else t
 
 
 def apply_bound(spec: FiberDivergence, value):
@@ -193,9 +165,7 @@ def apply_bound(spec: FiberDivergence, value):
         return value
     if spec.bound[0] == "ratio":
         return value / (1.0 + value)
-    if np.ndim(value):
-        return np.minimum(spec.bound[1], value)
-    return min(spec.bound[1], value)
+    return np.minimum(spec.bound[1], value)
 
 
 def _objective(spec: FiberDivergence, lam, with_grad=False):
@@ -203,19 +173,28 @@ def _objective(spec: FiberDivergence, lam, with_grad=False):
 
     Phi = sum g(lambda) for per-eigenvalue families and
     alpha*sum(log^2) + beta*(sum log)^2 for the two-parameter geodesic
-    family. With `with_grad`, also returns dPhi/dlambda.
+    family. With `with_grad`, also returns dPhi/dlambda. Never raises or
+    warns: Phi is not finite where the family is undefined.
     """
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        log = np.log(lam)
-        S = np.sum(log, axis=-1)
-        phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * S**2
+    with np.errstate(all="ignore"):
+        if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+            log = np.log(lam)
+            S = np.sum(log, axis=-1)
+            phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * S**2
+            if not with_grad:
+                return phi
+            return phi, (2.0 * spec.alpha * log + 2.0 * spec.beta * S[..., None]) / lam
         if not with_grad:
-            return phi
-        return phi, (2.0 * spec.alpha * log + 2.0 * spec.beta * S[..., None]) / lam
-    phi = np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
-    if not with_grad:
-        return phi
-    return phi, _g_derivative(spec, lam)
+            return np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
+        terms, dphi = per_eigenvalue_terms(spec, lam, with_grad=True)
+        return np.sum(terms, axis=-1), dphi
+
+
+def _defined(spec: FiberDivergence, phi):
+    """phi, after checking the family is defined (phi finite) on every spectrum."""
+    if not np.all(np.isfinite(phi)):
+        raise DomainError(f"the {spec.kind} divergence is undefined on this pencil spectrum")
+    return phi
 
 
 def _fiber_values(spec: FiberDivergence, phi):
@@ -224,15 +203,9 @@ def _fiber_values(spec: FiberDivergence, phi):
     return apply_bound(spec, vals)
 
 
-def value_from_spectrum(spec: FiberDivergence, lam) -> float:
-    """Divergence value from the pencil spectrum lambda_i(X^{-1}Y)."""
-    lam = np.asarray(lam, dtype=float)
-    return float(_fiber_values(spec, _objective(spec, lam)))
-
-
 def divergence(spec: FiberDivergence, X, Y) -> float:
     """Divergence between equal-size positive definite X and Y."""
-    return value_from_spectrum(spec, pencil_eigenvalues(X, Y))
+    return float(_fiber_values(spec, _defined(spec, _objective(spec, pencil_eigenvalues(X, Y)))))
 
 
 def geodesic_ab_is_distance_check(alpha, beta, m) -> bool:

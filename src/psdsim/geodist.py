@@ -197,13 +197,17 @@ def _batch_values(spec, X_invhalf, Y11_batch):
 # --- ambiguity group sampling -----------------------------------------
 
 
-def _sigma_blocks(sigma, count, tol=1e-8):
+# singular values this close share one run of the ambiguity group
+_TOL_SIGMA_RUN = 1e-8
+
+
+def _sigma_blocks(sigma, count):
     """Group the first `count` singular values into runs of equal value."""
     blocks = []
     i = 0
     while i < count:
         j = i + 1
-        while j < count and abs(sigma[j] - sigma[i]) <= tol:
+        while j < count and abs(sigma[j] - sigma[i]) <= _TOL_SIGMA_RUN:
             j += 1
         blocks.append((i, j))
         i = j
@@ -300,15 +304,12 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
 
 
 def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
-    """Directed max-min fiber value over the sampled ambiguity group.
+    """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
 
-    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*. At l = 0
-    every pair has the pencil of (C, D11), so that one pair is the value.
+    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*.
     """
     r = C.shape[0]
     Cih = _inv_half(C)
-    if l == 0:
-        return float(_batch_values(spec, Cih, D[:r, :r]))
     d1 = d2 = -np.inf
     for Gs, Ht in _frame_draws(C, D, sigma, l, samples, seed):
         Y11 = _congruence(Ht[:, :r], D)
@@ -450,14 +451,17 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
 
 
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
+    """The distance of an aligned pair. Both modes take the closed form at
+    l = 0, where every representation pair has the pencil of (C, D11)."""
     gterm = grassmann_distance(spec.grassmann, prep.theta)
-    if spec.hausdorff_mode == "faithful":
+    faithful = spec.hausdorff_mode == "faithful"
+    if prep.l == 0:
+        fterm = float(_fiber_values(spec.fiber, _spectrum_objective(spec.fiber, prep.mu)))
+        mode = "faithfulSampled" if faithful else "closedForm"
+    elif faithful:
         fterm = _faithful_fiber(prep.C, prep.D, prep.sigma, prep.l, spec.fiber,
                                 20000 if samples is None else samples, seed)
         mode = "faithfulSampled"
-    elif prep.l == 0:
-        fterm = float(_fiber_values(spec.fiber, _spectrum_objective(spec.fiber, prep.mu)))
-        mode = "closedForm"
     else:
         fterm = gd_degenerate_fiber(prep.C, prep.D, prep.l, spec.fiber,
                                     budget=budget, seed=seed)
@@ -485,9 +489,9 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
     """Matrix of pairwise distances; diagonal exactly zero.
 
     Each unordered pair is aligned once. Pairs of unequal rank are
-    symmetric. Equal-rank pairs on the closed-form path read the reverse
-    direction off the same factorization; other equal-rank pairs evaluate
-    each direction with `gd`.
+    symmetric. Equal-rank pairs generic in both directions read the
+    reverse direction off the same factorization; other equal-rank pairs
+    evaluate each direction with `gd`.
     """
     if not mats:
         raise DomainError("empty input list")
@@ -506,8 +510,6 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
                 out[i, j] = _evaluate(prep, spec, **kw).total
             back = prep.reversed(B.tol_rank)
             with _pair_context(j, i):
-                if spec.hausdorff_mode == "faithful" or prep.l or back.l:
-                    out[j, i] = gd(B, A, spec, **kw).total
-                else:
-                    out[j, i] = _evaluate(back, spec, **kw).total
+                generic = not (prep.l or back.l)
+                out[j, i] = (_evaluate(back, spec, **kw) if generic else gd(B, A, spec, **kw)).total
     return out

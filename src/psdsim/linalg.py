@@ -107,8 +107,12 @@ def _inv_half(X):
 def pencil_spectra(X_invhalf, Y):
     """Descending spectra of X^{-1} Y, for Y or a stack of Y, as one (stacked)
     eigvalsh of F Y F*. F may be any factor with F* F = X^{-1}: X^{-1/2}, or
-    C^{-1/2} G* for X = G C G* with G unitary. Every pencil spectrum in the
-    package comes from here.
+    C^{-1/2} G* for X = G C G* with G unitary. `pencil_eigenvalues`, the
+    point-set values and the sampled values of `gd` (faithful mode and the
+    coarse pass of `algorithm1`) take their spectra from here. The closed
+    form of `gd` takes sigma(K)^2 instead, and the paths that also need
+    eigenvectors (the degenerate ascent, both sides of the verification
+    oracle, the point-set witnesses) call eigh on F Y F* themselves.
     """
     W = X_invhalf @ Y @ X_invhalf.conj().T
     return np.linalg.eigvalsh(_herm(W))[..., ::-1]
@@ -135,7 +139,7 @@ def pencil_eigenvalues(X, Y):
     return _pencil_from_eig(wx, Vx, check_hermitian(Y))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsdMatrix:
     """A finite Hermitian PSD matrix with cached spectral data.
 
@@ -143,7 +147,7 @@ class PsdMatrix:
     range queries reuse it. `tol_rank` (relative to the largest eigenvalue)
     decides the rank, and so the stratum of every pair in which this is the
     lower-rank argument; `tol_psd` bounds the negative eigenvalues accepted.
-    Both must be finite and >= 0.
+    Both must be finite and >= 0, and like every field are fixed at construction.
     """
 
     entries: np.ndarray
@@ -156,13 +160,14 @@ class PsdMatrix:
         for name, tol in (("tol_rank", self.tol_rank), ("tol_psd", self.tol_psd)):
             if not 0.0 <= tol < np.inf:
                 raise DomainError(f"{name} must be finite and >= 0, got {tol}")
-        self.entries = check_hermitian(self.entries)
-        w, V = np.linalg.eigh(self.entries)
+        entries = check_hermitian(self.entries)
+        w, V = np.linalg.eigh(entries)
         wmax = w[-1] if w.size else 0.0
         if w.size and w[0] < -self.tol_psd * (1.0 + max(wmax, 0.0)):
             raise DomainError("matrix is not PSD at tolerance")
-        self._eigvals = w[::-1].copy()
-        self._eigvecs = V[:, ::-1].copy()
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_eigvals", w[::-1].copy())
+        object.__setattr__(self, "_eigvecs", V[:, ::-1].copy())
 
     @property
     def n(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import (GEODESIC_AB, FiberDivergence, _fiber_values, _objective,
+from .divergences import (GEODESIC_AB, FiberDivergence, _defined, _fiber_values, _objective,
                           geodesic_ab_is_distance_check)
 from .errors import DomainError, OptimizerError
 from .linalg import (
@@ -70,17 +70,11 @@ def _check_pair(C, D):
     return C, D, r, s, (w, V)
 
 
-def _reject_two_parameter(spec):
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        raise DomainError(
-            "the two-parameter geodesic family has no shared closed form; "
-            "use alpha_beta_pointset"
-        )
-
-
 def pointset_value_from_spectrum(spec: FiberDivergence, mu, side="minus") -> PointSetValue:
     """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11)."""
-    _reject_two_parameter(spec)
+    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+        raise DomainError("the two-parameter geodesic family has no shared closed form; "
+                          "use alpha_beta_pointset")
     mu = np.asarray(mu, dtype=float)
     value = float(_fiber_values(spec, _spectrum_objective(spec, mu)))
     return PointSetValue(value, side, np.maximum(1.0, mu))
@@ -150,9 +144,10 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     """Pre-exponent point-set objective F of stacked descending pencil spectra.
 
     With `with_grad`, also returns dF/dmu. For per-eigenvalue families
-    F = Phi(max(1, mu)); every family has g'(1) = 0, so F is C^1 across
-    the clamp. For the two-parameter geodesic family F is the optimal value
-    of the box QP in c = log mu, whose derivative is the KKT multiplier
+    F = Phi(max(1, mu)), and DomainError names the family if F is not
+    finite; every family has g'(1) = 0, so F is C^1 across the clamp. For
+    the two-parameter geodesic family F is the optimal value of the box QP
+    in c = log mu, whose derivative is the KKT multiplier
     nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu.
     """
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
@@ -164,9 +159,9 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
         return F, nu / mu
     lam = np.maximum(1.0, mu)
     if not with_grad:
-        return _objective(spec, lam)
+        return _defined(spec, _objective(spec, lam))
     F, dF = _objective(spec, lam, with_grad=True)
-    return F, np.where(mu > 1.0, dF, 0.0)
+    return _defined(spec, F), np.where(mu > 1.0, dF, 0.0)
 
 
 def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
@@ -266,19 +261,8 @@ _ORACLE_MAX_ITER = 500
 
 def _phi_batch(spec, lam):
     """Phi and dPhi/dlambda for a (B, r) stack of spectra floored at 1e-300;
-    +inf with a zero gradient where the domain is violated."""
-    with np.errstate(all="ignore"):
-        lam = np.maximum(lam, 1e-300)
-        try:
-            phi, dphi = _objective(spec, lam, with_grad=True)
-        except DomainError:
-            # per-row domain violations: fall back to a python loop
-            phi, dphi = np.full(lam.shape[0], np.inf), np.zeros_like(lam)
-            for i in range(lam.shape[0]):
-                try:
-                    phi[i], dphi[i] = _objective(spec, lam[i], with_grad=True)
-                except DomainError:
-                    pass
+    +inf with a zero gradient where the family is undefined."""
+    phi, dphi = _objective(spec, np.maximum(lam, 1e-300), with_grad=True)
     bad = ~(np.isfinite(phi) & np.isfinite(dphi).all(axis=-1))
     phi[bad], dphi[bad] = np.inf, 0.0
     return phi, dphi
@@ -344,16 +328,16 @@ def _oracle_plus(spec, Chalf, Dih, budget, seed):
         Rt = np.swapaxes(R, -1, -2)
         Y = np.block([[Y11, R], [Rt, Rt @ S + F @ np.swapaxes(F, -1, -2)]])
         nu, V = np.linalg.eigh(_herm(Dih @ Y @ Dih))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             phi, dphi = _phi_batch(spec, 1.0 / nu)
             phi[nu[:, 0] <= 0.0] = np.inf
             G = Dih @ ((V * (-dphi / nu**2)[:, None, :]) @ np.swapaxes(V, -1, -2)) @ Dih
-        G11, G12, G22 = G[:, :r, :r], G[:, :r, r:], G[:, r:, r:]
-        SG = S @ G22
-        H = Minv @ Chalf @ (G11 - SG @ np.swapaxes(S, -1, -2)) @ Chalf @ Minv
-        return phi, np.concatenate([(-2.0 * H @ E).reshape(m, -1),
-                                    (2.0 * (G12 + SG)).reshape(m, -1),
-                                    2.0 * (G22 @ F)[:, rows, cols]], axis=1)
+            G11, G12, G22 = G[:, :r, :r], G[:, :r, r:], G[:, r:, r:]
+            SG = S @ G22
+            H = Minv @ Chalf @ (G11 - SG @ np.swapaxes(S, -1, -2)) @ Chalf @ Minv
+            return phi, np.concatenate([(-2.0 * H @ E).reshape(m, -1),
+                                        (2.0 * (G12 + SG)).reshape(m, -1),
+                                        2.0 * (G22 @ F)[:, rows, cols]], axis=1)
 
     _, f, _ = _descend(fg, _line, x0, _ORACLE_MAX_ITER)
     return float(_fiber_values(spec, f.min()))

@@ -141,6 +141,16 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_dist_outside_the_divergence_domain_exits_3(tmp_path, capsys):
+    # an l = 2 pair whose every fiber pencil has eigenvalues 9 and 18 > e
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 1.0, 0.5, 0.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([1.0, 0.0, 0.0, 9.0, 18.0]))
+    for mode in ("algorithm1", "faithful"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", "is:1",
+                                 "--hausdorff", mode, "--budget", "2", "--samples", "64")
+        assert code == 3 and out == "" and "itakurasaito divergence is undefined" in err, mode
+
+
 def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
     b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)

@@ -98,6 +98,13 @@ def test_itakura_saito_domain_violation():
         ps.divergence(FD.itakura_saito(1.0), X, Y)
 
 
+def test_alpha_beta_domain_violation_names_the_family():
+    # alpha = 1, beta = -1/2 at lambda = 0.1: the log-det argument
+    # (alpha lambda^beta + beta lambda^-alpha) / (alpha + beta) = 2 (3.16 - 5) < 0
+    with pytest.raises(ps.DomainError, match="ab divergence is undefined"):
+        ps.divergence(FD.alpha_beta(1.0, -0.5), np.eye(2), 0.1 * np.eye(2))
+
+
 def test_bounded_transforms():
     rng = np.random.default_rng(6)
     X, Y = rand_pd(rng, 3), rand_pd(rng, 3, 0.6, 2.4)

@@ -622,3 +622,43 @@ def test_faithful_degenerate_decomposes_c_once(monkeypatch):
     res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful"), samples=20000)
     assert res.stratum_index == 2
     assert eigh["n"] == 1
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_faithful_generic_value_is_the_closed_form_exactly(complex_field):
+    # at l = 0 both modes evaluate the one closed form, bit for bit
+    rng = np.random.default_rng(28)
+    for n, r, s in ((6, 2, 3), (5, 3, 3), (7, 4, 2), (8, 3, 5)):
+        if complex_field:
+            A, B = _rand_complex_psd(rng, n, r), _rand_complex_psd(rng, n, s)
+        else:
+            A, B = rand_psd_rank(rng, n, r), rand_psd_rank(rng, n, s)
+        for fiber in family_specs() + [FD.geodesic_ab(1.0, 0.25), FD.kl().with_sym()]:
+            closed = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber))
+            faithful = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"))
+            assert closed.stratum_index == 0 and faithful.mode == "faithfulSampled"
+            assert faithful.fiber_term == closed.fiber_term, (n, r, s, fiber)
+            assert faithful.total == closed.total
+
+
+def test_pairwise_faithful_generic_equals_algorithm1():
+    rng = np.random.default_rng(29)
+    mats = [rand_psd_rank(rng, 6, r) for r in (2, 3, 3, 3, 4)]
+    mats.append(_rand_complex_psd(rng, 6, 3))
+    for fiber in (FD.geodesic(), FD.kl(), FD.geodesic_ab(1.0, 0.25)):
+        gram = ps.pairwise_gram(mats, ps.MetricSpec(GM.GEODESIC, fiber))
+        faithful = ps.pairwise_gram(mats, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"))
+        assert np.array_equal(faithful, gram)
+
+
+def test_itakura_saito_domain_violation_in_gd():
+    # IS at alpha = 1 is undefined once a clamped pencil eigenvalue exceeds e
+    spec_is = FD.itakura_saito(1.0)
+    A, B = ps.PsdMatrix(np.diag([1.0, 1.0, 0.0])), ps.PsdMatrix(np.diag([4.0, 4.0, 1.0]))
+    with pytest.raises(ps.DomainError, match="itakurasaito divergence is undefined"):
+        ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, spec_is))
+    A = ps.PsdMatrix(np.diag([1.0, 1.0, 0.5, 0.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([1.0, 0.0, 0.0, 9.0, 18.0]))
+    for mode in ("algorithm1", "faithful"):
+        with pytest.raises(ps.DomainError, match="itakurasaito divergence is undefined"):
+            ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, spec_is, mode), budget=2, samples=64)

@@ -1,5 +1,7 @@
 """Core factorizations, principal angles, and fiber representations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_psdmatrix_validation():
 def test_psdmatrix_rejects_bad_tolerances(name, bad):
     with pytest.raises(ps.DomainError, match=name):
         ps.PsdMatrix(np.eye(2), **{name: bad})
+
+
+def test_psdmatrix_fields_cannot_be_reassigned():
+    # a tolerance assigned after construction would skip the checks above:
+    # tol_rank = -1 would count the zero eigenvalue into the rank
+    A = ps.PsdMatrix(np.diag([1.0, 3.0, 0.0]))
+    for name, value in (("tol_rank", -1.0), ("tol_psd", 0.0), ("entries", np.eye(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(A, name, value)
+    assert A.rank == 2 and A.tol_rank == ps.TOL_RANK
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -421,3 +421,33 @@ def test_oracle_gradients_match_central_differences(monkeypatch):
                 assert np.linalg.norm(fd - g[0]) <= 1e-5 * np.linalg.norm(g[0]), (text, r, s, side)
                 checked += 1
     assert checked >= 30
+
+
+def test_oracle_plus_overflow_stays_silent():
+    # on this r = 1, s = 4 pair the plus-side descent meets near-singular Y,
+    # where the chain-rule gradient overflows; RuntimeWarnings are errors here
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        r = rng.integers(1, 4)
+        s = rng.integers(r, 5)
+        G = rng.normal(size=(r, r))
+        C = G @ G.T + 0.3 * np.eye(r)
+        G = rng.normal(size=(s, s))
+        D = 3.0 * G @ G.T + 0.3 * np.eye(s)
+    assert (r, s) == (1, 4)
+    spec = FD.burg(0.7)
+    got = ps.oracle_min_over_omega(spec, C, D, side="plus", budget=8, seed=7)
+    want = ps.pointset_plus(spec, C, D).value
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_phi_batch_masks_exactly_the_rows_outside_the_domain():
+    # Itakura-Saito at alpha = 1 needs log(lambda) < 1 on every entry
+    spec = FD.itakura_saito(1.0)
+    lam = np.array([[2.0, 0.5], [4.0, 1.0], [1.5, 1.2], [0.2, 0.0], [1.1, 0.3]])
+    phi, dphi = ps.pointset._phi_batch(spec, lam)
+    bad = np.array([False, True, False, False, False])
+    assert np.all(np.isinf(phi[bad])) and np.all(dphi[bad] == 0.0)
+    for row, p, d in zip(lam[~bad], phi[~bad], dphi[~bad]):
+        want_p, want_d = ps.divergences._objective(spec, np.maximum(row, 1e-300), with_grad=True)
+        assert p == want_p and np.array_equal(d, want_d)
