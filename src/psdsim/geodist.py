@@ -18,12 +18,11 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .divergences import FiberDivergence, _fiber_values
-from .errors import DomainError, OptimizerError
+from .errors import DomainError, OptimizerError, PsdSimError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
     PsdMatrix,
@@ -117,75 +116,87 @@ def generalized_hausdorff(f, pairs):
     return max(d1, d2)
 
 
-# --- internal: preparation of the aligned fiber pair ------------------
+# --- internal: preparation of stacks of aligned fiber pairs -----------
+
+
+# byte budget of one (m, N, s) stack of padded factors in pairwise_gram; a
+# chunk holds at least one pair
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
 class _Prepared:
-    """An aligned pair (rank r <= s) in factored form.
+    """A stack of m aligned pairs (ranks r <= s alike) in factored form.
 
-    With M = UA* UB = P diag(sigma) Qh, the fiber representations are
-    C = P* diag(wA) P and D = Qh diag(wB) Qh*. They are built on first use:
-    the closed form needs only the pencil spectrum mu = lambda(C^{-1} D11),
+    With M = UA* UB = P diag(sigma) Qh for each pair, the fiber
+    representations are C = P* diag(wA) P and D = Qh diag(wB) Qh*; the
+    closed form needs only the pencil spectrum mu = lambda(C^{-1} D11),
     which is sigma(K)^2 for K = diag(wA^{-1/2}) P Qh[:r] diag(wB^{1/2}).
+    Every array has the pair as its leading axis.
     """
 
-    sigma: np.ndarray
-    theta: np.ndarray
-    l: int
-    mu: np.ndarray  # unclamped pencil spectrum, descending
-    wA: np.ndarray
-    P: np.ndarray
-    wB: np.ndarray
-    Qh: np.ndarray
+    sigma: np.ndarray  # (m, r)
+    theta: np.ndarray  # (m, r)
+    l: np.ndarray      # (m,)
+    mu: np.ndarray     # (m, r) unclamped pencil spectra, descending
+    wA: np.ndarray     # (m, r)
+    P: np.ndarray      # (m, r, r)
+    wB: np.ndarray     # (m, s)
+    Qh: np.ndarray     # (m, s, s)
 
-    @property
-    def r(self):
-        return len(self.wA)
-
-    @property
-    def s(self):
-        return len(self.wB)
-
-    @cached_property
-    def C(self):
-        return _herm(self.P.conj().T @ (self.wA[:, None] * self.P))
-
-    @cached_property
-    def D(self):
-        return _herm(self.Qh @ (self.wB[:, None] * self.Qh.conj().T))
+    def fibers(self, i):
+        """(C, D) of pair i."""
+        P, Qh = self.P[i], self.Qh[i]
+        return (_herm(P.conj().T @ (self.wA[i][:, None] * P)),
+                _herm(Qh @ (self.wB[i][:, None] * Qh.conj().T)))
 
     def reversed(self, tol):
-        """The same pair with its arguments swapped; equal ranks only.
+        """The same pairs with their arguments swapped; equal ranks only.
 
         M* = Qh* diag(sigma) P*, so the factors trade places and K becomes
-        K^{-1}: the reverse pencil spectrum is 1/mu. `tol` is the new left
-        argument's tol_rank, which decides the reverse stratum.
+        K^{-1}: the reverse pencil spectrum is 1/mu. `tol` holds the new
+        left arguments' tol_rank, which decide the reverse strata.
         """
-        return replace(self, l=int(np.count_nonzero(self.sigma <= tol)),
-                       mu=1.0 / self.mu[::-1], wA=self.wB, P=self.Qh.conj().T,
-                       wB=self.wA, Qh=self.P.conj().T)
+        return replace(self, l=np.count_nonzero(self.sigma <= tol[:, None], axis=-1),
+                       mu=1.0 / self.mu[:, ::-1],
+                       wA=self.wB, P=np.swapaxes(self.Qh.conj(), -1, -2),
+                       wB=self.wA, Qh=np.swapaxes(self.P.conj(), -1, -2))
 
 
-def _prepare(A: PsdMatrix, B: PsdMatrix):
-    """Aligned fiber pair; assumes rank(A) <= rank(B). A.tol_rank decides l."""
-    n = max(A.n, B.n)
-    UA, wA = A.compact_factors()
-    UB, wB = B.compact_factors()
-    r, s = len(wA), len(wB)
-    if r == 0 or s == 0:
+def _padded_factors(mats, n, dtype):
+    """(U, w) stacks of the compact factors of equal-rank mats, U zero-padded
+    to n rows."""
+    r = mats[0].rank
+    U = np.zeros((len(mats), n, r), dtype=dtype)
+    w = np.empty((len(mats), r))
+    for X, Ui, wi in zip(mats, U, w):
+        Ui[:X.n], wi[:] = X.compact_factors()
+    return U, w
+
+
+def _prepare(lefts, rights, n=None):
+    """Aligned fiber pairs (lefts[i], rights[i]) as one stack.
+
+    All lefts share rank r, and all rights rank s >= r. Both sides are
+    padded to ambient size n, by default the largest in the stack, and
+    taken in the common dtype of the stack. Each left argument's tol_rank
+    decides its pair's l.
+    """
+    r = lefts[0].rank
+    if r == 0:
         raise DomainError("zero-rank input")
-    if UA.shape[0] < n:
-        UA = np.vstack([UA, np.zeros((n - UA.shape[0], r), dtype=UA.dtype)])
-    if UB.shape[0] < n:
-        UB = np.vstack([UB, np.zeros((n - UB.shape[0], s), dtype=UB.dtype)])
-    M = UA.conj().T @ UB
+    n = max(X.n for X in lefts + rights) if n is None else n
+    dtype = np.result_type(*{X.entries.dtype for X in lefts + rights})
+    UA, wA = _padded_factors(lefts, n, dtype)
+    UB, wB = _padded_factors(rights, n, dtype)
+    M = np.swapaxes(UA.conj(), -1, -2) @ UB
     P, sig, Qh = np.linalg.svd(M, full_matrices=True)
     sigma = np.clip(sig, 0.0, 1.0)
-    theta = small_angles_refined(sigma, UA, UB @ Qh[:r].conj().T)
-    K = (P @ Qh[:r]) * np.sqrt(wB) / np.sqrt(wA)[:, None]
+    theta = small_angles_refined(sigma, UA, UB @ np.swapaxes(Qh[:, :r].conj(), -1, -2))
+    K = (P @ Qh[:, :r]) * np.sqrt(wB)[:, None, :] / np.sqrt(wA)[:, :, None]
     mu = np.linalg.svd(K, compute_uv=False) ** 2
-    return _Prepared(sigma=sigma, theta=theta, l=int(np.count_nonzero(sigma <= A.tol_rank)),
+    tol = np.array([X.tol_rank for X in lefts])
+    return _Prepared(sigma=sigma, theta=theta, l=np.count_nonzero(sigma <= tol[:, None], axis=-1),
                      mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
@@ -295,10 +306,11 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     _check_counts(grid=grid)
     if A.rank > B.rank:
         A, B = B, A
-    prep = _prepare(A, B)
+    prep = _prepare([A], [B])
+    C, D = prep.fibers(0)
     pairs = []
-    for Gs, Ht in _frame_draws(prep.C, prep.D, prep.sigma, prep.l, grid, seed):
-        xs, ys = list(_herm(_congruence(Gs, prep.C))), list(_herm(_congruence(Ht, prep.D)))
+    for Gs, Ht in _frame_draws(C, D, prep.sigma[0], int(prep.l[0]), grid, seed):
+        xs, ys = list(_herm(_congruence(Gs, C))), list(_herm(_congruence(Ht, D)))
         pairs.extend((x, y) for x in xs for y in ys)
     return pairs
 
@@ -447,32 +459,38 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     _check_counts(budget=budget, samples=samples)
     if A.rank > B.rank:
         A, B = B, A  # the measurement is symmetric across unequal ranks
-    return _evaluate(_prepare(A, B), spec, seed, budget, samples)
+    return _evaluate(_prepare([A], [B]), spec, seed, budget, samples)
+
+
+def _closed_fiber(fiber: FiberDivergence, mu):
+    """Fiber terms of a stack of generic pairs (l = 0) from their pencil spectra."""
+    return _fiber_values(fiber, _spectrum_objective(fiber, mu))
 
 
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
-    """The distance of an aligned pair. Both modes take the closed form at
-    l = 0, where every representation pair has the pencil of (C, D11)."""
-    gterm = grassmann_distance(spec.grassmann, prep.theta)
+    """The distance of an aligned pair, a stack of one. Both modes take the
+    closed form at l = 0, where every representation pair has the pencil of
+    (C, D11)."""
+    gterm = float(grassmann_distance(spec.grassmann, prep.theta)[0])
     faithful = spec.hausdorff_mode == "faithful"
-    if prep.l == 0:
-        fterm = float(_fiber_values(spec.fiber, _spectrum_objective(spec.fiber, prep.mu)))
+    l = int(prep.l[0])
+    if l == 0:
+        fterm = float(_closed_fiber(spec.fiber, prep.mu)[0])
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
-        fterm = _faithful_fiber(prep.C, prep.D, prep.sigma, prep.l, spec.fiber,
+        fterm = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber,
                                 20000 if samples is None else samples, seed)
         mode = "faithfulSampled"
     else:
-        fterm = gd_degenerate_fiber(prep.C, prep.D, prep.l, spec.fiber,
-                                    budget=budget, seed=seed)
+        fterm = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)
         mode = "optimizedDegenerate"
     return GdResult(
         total=math.hypot(gterm, fterm),
         grassmann_term=gterm,
         fiber_term=fterm,
-        stratum_index=prep.l,
-        pencil_spectrum=np.maximum(1.0, prep.mu),
-        angles=prep.theta,
+        stratum_index=l,
+        pencil_spectrum=np.maximum(1.0, prep.mu[0]),
+        angles=prep.theta[0],
         mode=mode,
     )
 
@@ -485,31 +503,91 @@ def _pair_context(i, j):
         raise DomainError(f"pair ({i}, {j}): {e}") from e
 
 
+def _generic_distances(mats, spec: MetricSpec):
+    """Closed-form distances of the generic directions of every pair, stacked.
+
+    Returns the (n, n) distances and the mask of the directions they fill:
+    those with l = 0 whose chunk evaluated without error (pairwise_gram
+    describes the grouping).
+    """
+    n = len(mats)
+    out = np.zeros((n, n))
+    done = np.zeros((n, n), dtype=bool)
+    groups = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = (j, i) if mats[i].rank > mats[j].rank else (i, j)
+            A, B = mats[a], mats[b]
+            if A.rank:
+                dtype = np.result_type(A.entries, B.entries)
+                groups.setdefault((A.rank, B.rank, dtype), []).append((a, b))
+    for (r, s, dtype), pairs in groups.items():
+        N = max(max(mats[a].n, mats[b].n) for a, b in pairs)
+        size = max(1, _CHUNK_BYTES // (N * s * dtype.itemsize))
+        for c in range(0, len(pairs), size):
+            a, b = np.array(pairs[c:c + size]).T
+            try:
+                prep = _prepare([mats[k] for k in a], [mats[k] for k in b], N)
+                fwd = _closed_distances(spec, prep)
+                if r == s:  # the reverse direction off the same factorization
+                    bwd = _closed_distances(spec, prep.reversed(
+                        np.array([mats[k].tol_rank for k in b])))
+                else:  # symmetric across unequal ranks
+                    bwd = fwd
+            except (PsdSimError, np.linalg.LinAlgError):
+                continue  # left to gd, which raises in loop order
+            for x, y, v in ((a, b, fwd), (b, a, bwd)):
+                generic = ~np.isnan(v)
+                out[x[generic], y[generic]] = v[generic]
+                done[x[generic], y[generic]] = True
+    return out, done
+
+
+def _closed_distances(spec: MetricSpec, prep: _Prepared):
+    """Closed-form totals of a stack, NaN at its degenerate (l >= 1) pairs."""
+    totals = np.full(len(prep.l), np.nan)
+    generic = np.flatnonzero(prep.l == 0)
+    if generic.size:
+        gterm = grassmann_distance(spec.grassmann, prep.theta[generic])
+        fterm = _closed_fiber(spec.fiber, prep.mu[generic])
+        totals[generic] = [math.hypot(g, f) for g, f in zip(gterm, fterm)]
+    return totals
+
+
 def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
     """Matrix of pairwise distances; diagonal exactly zero.
 
-    Each unordered pair is aligned once. Pairs of unequal rank are
-    symmetric. Equal-rank pairs generic in both directions read the
-    reverse direction off the same factorization; other equal-rank pairs
-    evaluate each direction with `gd`.
+    Each unordered pair is aligned once, its lower-rank matrix (the first
+    at equal ranks) on the left, and pairs of unequal rank are symmetric.
+    Pairs are grouped by their two ranks and their field (real or complex);
+    a group's compact factors are zero-padded to its largest ambient size
+    and prepared as stacks: one batched product and SVD for the principal
+    angles, one values-only SVD for the pencil spectra, and one closed-form
+    value map. A group is cut into chunks so that each (pairs, N, s) factor
+    stack stays within a fixed byte budget (_CHUNK_BYTES); the
+    padding is the group's, so results do not depend on the chunking.
+    Equal-rank pairs read the reverse direction off the same factorization.
+
+    Every other direction runs through gd, one pair at a time: those on a
+    degenerate stratum (l >= 1), those with a zero-rank matrix, and those of
+    a chunk whose stacked evaluation raised. They run in row-major order of
+    (i, j), then (j, i), so an error names the first failing pair in that
+    order.
     """
     if not mats:
         raise DomainError("empty input list")
     _check_counts(budget=budget, samples=samples)
-    n = len(mats)
-    out = np.zeros((n, n))
+    out, done = _generic_distances(mats, spec)
     kw = {"seed": seed, "budget": budget, "samples": samples}
+    n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
-            A, B = mats[i], mats[j]
-            with _pair_context(i, j):
-                if A.rank != B.rank:
-                    out[i, j] = out[j, i] = gd(A, B, spec, **kw).total
+            for a, b in ((i, j), (j, i)):
+                if done[a, b]:
                     continue
-                prep = _prepare(A, B)
-                out[i, j] = _evaluate(prep, spec, **kw).total
-            back = prep.reversed(B.tol_rank)
-            with _pair_context(j, i):
-                generic = not (prep.l or back.l)
-                out[j, i] = (_evaluate(back, spec, **kw) if generic else gd(B, A, spec, **kw)).total
+                with _pair_context(a, b):
+                    out[a, b] = gd(mats[a], mats[b], spec, **kw).total
+                if mats[a].rank != mats[b].rank:
+                    out[b, a] = out[a, b]
+                    break
     return out

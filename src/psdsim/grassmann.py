@@ -30,42 +30,46 @@ class GrassmannMetric(enum.Enum):
             raise ParseError(f"unknown Grassmann metric {name!r}; expected one of: {valid}")
 
 
-def grassmann_distance(metric: GrassmannMetric, theta, r=None) -> float:
+def grassmann_distance(metric: GrassmannMetric, theta, r=None):
     """Distance between two subspaces from their principal angles.
 
     theta must be ascending in [0, pi/2], length min{r, s}. Martin's
-    distance returns +inf when the largest angle is a right angle.
+    distance returns +inf when the largest angle is a right angle. A
+    (m, k) stack of angle vectors gives the (m,) array of distances; one
+    vector gives a float.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.size == 0:
+    if theta.shape[-1] == 0:
         raise DomainError("empty principal-angle vector")
     if theta.min() < -1e-12 or theta.max() > math.pi / 2 + 1e-12:
         raise DomainError("principal angles must lie in [0, pi/2]")
     theta = np.clip(theta, 0.0, math.pi / 2)
-    if r is not None and theta.size != r:
-        raise DomainError(f"expected {r} principal angles, got {theta.size}")
+    if r is not None and theta.shape[-1] != r:
+        raise DomainError(f"expected {r} principal angles, got {theta.shape[-1]}")
     c = np.cos(theta)
     s = np.sin(theta)
-    top = float(theta[-1])  # largest angle
+    top = theta[..., -1]  # largest angle
 
     if metric is GrassmannMetric.ASIMOV:
-        return top
-    if metric is GrassmannMetric.BINET_CAUCHY:
-        return math.sqrt(max(0.0, 1.0 - float(np.prod(c) ** 2)))
-    if metric is GrassmannMetric.CHORDAL:
-        return math.sqrt(float(np.sum(s**2)))
-    if metric is GrassmannMetric.FUBINI_STUDY:
-        return math.acos(min(1.0, max(-1.0, float(np.prod(c)))))
-    if metric is GrassmannMetric.MARTIN:
-        if np.any(c <= 1e-12):  # right angle up to roundoff in cos(pi/2)
-            return math.inf
-        return math.sqrt(max(0.0, -2.0 * float(np.sum(np.log(c)))))
-    if metric is GrassmannMetric.PROCRUSTES:
-        return 2.0 * math.sqrt(float(np.sum(np.sin(theta / 2.0) ** 2)))
-    if metric is GrassmannMetric.PROJECTION:
-        return math.sin(top)
-    if metric is GrassmannMetric.SPECTRAL:
-        return 2.0 * math.sin(top / 2.0)
-    if metric is GrassmannMetric.GEODESIC:
-        return math.sqrt(float(np.sum(theta**2)))
-    raise DomainError(f"unhandled metric {metric!r}")
+        dist = top
+    elif metric is GrassmannMetric.BINET_CAUCHY:
+        dist = np.sqrt(np.maximum(0.0, 1.0 - np.prod(c, axis=-1) ** 2))
+    elif metric is GrassmannMetric.CHORDAL:
+        dist = np.sqrt(np.sum(s**2, axis=-1))
+    elif metric is GrassmannMetric.FUBINI_STUDY:
+        dist = np.arccos(np.clip(np.prod(c, axis=-1), -1.0, 1.0))
+    elif metric is GrassmannMetric.MARTIN:
+        right = c <= 1e-12  # right angle up to roundoff in cos(pi/2)
+        logs = np.sum(np.log(np.where(right, 1.0, c)), axis=-1)
+        dist = np.where(right.any(axis=-1), math.inf, np.sqrt(np.maximum(0.0, -2.0 * logs)))
+    elif metric is GrassmannMetric.PROCRUSTES:
+        dist = 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
+    elif metric is GrassmannMetric.PROJECTION:
+        dist = np.sin(top)
+    elif metric is GrassmannMetric.SPECTRAL:
+        dist = 2.0 * np.sin(top / 2.0)
+    elif metric is GrassmannMetric.GEODESIC:
+        dist = np.sqrt(np.sum(theta**2, axis=-1))
+    else:
+        raise DomainError(f"unhandled metric {metric!r}")
+    return float(dist) if np.ndim(dist) == 0 else dist

@@ -147,12 +147,14 @@ class PsdMatrix:
     range queries reuse it. `tol_rank` (relative to the largest eigenvalue)
     decides the rank, and so the stratum of every pair in which this is the
     lower-rank argument; `tol_psd` bounds the negative eigenvalues accepted.
-    Both must be finite and >= 0, and like every field are fixed at construction.
+    Both must be finite and >= 0, and like every field are fixed at
+    construction; the arrays are read-only.
     """
 
     entries: np.ndarray
     tol_rank: float = TOL_RANK
     tol_psd: float = TOL_PSD
+    rank: int = _dataclass_field(init=False)
     _eigvals: np.ndarray = _dataclass_field(init=False, repr=False)
     _eigvecs: np.ndarray = _dataclass_field(init=False, repr=False)
 
@@ -165,9 +167,15 @@ class PsdMatrix:
         wmax = w[-1] if w.size else 0.0
         if w.size and w[0] < -self.tol_psd * (1.0 + max(wmax, 0.0)):
             raise DomainError("matrix is not PSD at tolerance")
+        w, V = w[::-1].copy(), V[:, ::-1].copy()
+        rank = 0 if w.size == 0 or w[0] <= 0.0 else int(np.count_nonzero(w > self.tol_rank * w[0]))
+        # read-only, so that rank and the eigensystem cannot go stale
+        for a in (entries, w, V):
+            a.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_eigvals", w[::-1].copy())
-        object.__setattr__(self, "_eigvecs", V[:, ::-1].copy())
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_eigvals", w)
+        object.__setattr__(self, "_eigvecs", V)
 
     @property
     def n(self):
@@ -176,13 +184,6 @@ class PsdMatrix:
     @property
     def field(self):
         return "complex" if np.iscomplexobj(self.entries) else "real"
-
-    @property
-    def rank(self):
-        w = self._eigvals
-        if w.size == 0 or w[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(w > self.tol_rank * w[0]))
 
     def eigensystem(self):
         """Cached (eigenvalues descending, eigenvectors)."""
@@ -255,15 +256,17 @@ def small_angles_refined(sigma, U_frame, bv):
 
     arccos loses half the working precision near sigma = 1; for those
     columns the angle is recomputed as arcsin of the residual of the
-    aligned right vector off the left subspace.
+    aligned right vector off the left subspace. Any leading axes of sigma
+    (..., k), U_frame (..., n, r) and bv (..., n, k') are a stack of pairs.
     """
     theta = np.arccos(sigma)
-    k = min(len(sigma), bv.shape[1])
-    small = np.nonzero(sigma[:k] > 0.7)[0]
-    if small.size:
-        cols = bv[:, small]
-        resid = cols - U_frame @ (U_frame.conj().T @ cols)
-        theta[small] = np.arcsin(np.clip(np.linalg.norm(resid, axis=0), 0.0, 1.0))
+    k = min(sigma.shape[-1], bv.shape[-1])
+    small = sigma[..., :k] > 0.7
+    if small.any():
+        cols = bv[..., :k]
+        resid = cols - U_frame @ (np.swapaxes(U_frame.conj(), -1, -2) @ cols)
+        norms = np.linalg.norm(resid, axis=-2)[small]
+        theta[..., :k][small] = np.arcsin(np.clip(norms, 0.0, 1.0))
     return theta
 
 

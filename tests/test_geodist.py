@@ -330,12 +330,32 @@ def test_pairwise_projector_symmetry():
     assert np.allclose(np.diag(out), 0.0)
 
 
-def test_pairwise_error_context():
+def _diag_psd(d, n=4):
+    return ps.PsdMatrix(np.diag(np.r_[d, np.zeros(n - len(d))]))
+
+
+def test_pairwise_error_context(monkeypatch):
     rng = np.random.default_rng(16)
     good = rand_psd_rank(rng, 4, 2)
     zero = ps.PsdMatrix(np.zeros((4, 4)))
     with pytest.raises(ps.DomainError, match=r"pair \(0, 1\)"):
         ps.pairwise_gram([good, zero], GEO_GEO)
+    # several pairs fail; the error names the first in the order (0, 1),
+    # (1, 0), (0, 2), (2, 0), ..., whichever chunk the engine meets it in.
+    # Itakura-Saito (alpha = 1) is undefined where the pencil reaches e: the
+    # pair diag(1, 1) -> diag(5, 1) leaves the domain, its reverse does not
+    low, high, wide = _diag_psd([1.0, 1.0]), _diag_psd([5.0, 1.0]), _diag_psd([1.0, 1.0, 1.0])
+    spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence("is:1"))
+    cases = (
+        ([low, wide, high, zero], r"pair \(0, 2\): the itakurasaito divergence is undefined"),
+        ([high, wide, low, zero], r"pair \(2, 0\): the itakurasaito divergence is undefined"),
+        ([low, zero, high, wide], r"pair \(0, 1\): zero-rank input"),
+    )
+    for chunk_bytes in (ps.geodist._CHUNK_BYTES, 1):
+        monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", chunk_bytes)
+        for mats, first in cases:
+            with pytest.raises(ps.DomainError, match=first):
+                ps.pairwise_gram(mats, spec)
 
 
 def test_result_serialization():
@@ -385,6 +405,38 @@ def test_pairwise_gram_matches_gd_both_directions(field, fiber):
                 assert gram[i, j] == gram[j, i]
     assert strata == ({0} if field == "complex" else {0, 1})
     assert np.all(np.diag(gram) == 0.0)
+
+
+def _stacked_engine_inputs():
+    """Ambient sizes 4-7 (groups need padding), ranks 1-3, real and complex
+    matrices, and an equal-rank pair (the last two) with one right angle."""
+    rng = np.random.default_rng(23)
+    mats = []
+    for i, (n, r) in enumerate([(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (7, 3), (4, 1), (6, 1),
+                                (6, 2), (5, 3), (7, 1), (4, 2)]):
+        mats.append(_rand_complex_psd(rng, n, r) if i % 3 == 2 else rand_psd_rank(rng, n, r))
+    return mats + [ps.embed_pad(ps.PsdMatrix(np.diag(d)), 5)
+                   for d in ([1.0, 2.0, 0.0], [1.0, 0.0, 3.0])]
+
+
+@pytest.mark.parametrize("fiber", ["geo", "geoab:1,0.25"])
+def test_stacked_pairwise_agrees_with_gd_and_ignores_chunking(monkeypatch, fiber):
+    mats = _stacked_engine_inputs()
+    spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+    gram = ps.pairwise_gram(mats, spec, seed=2, budget=4)
+    degenerate = 0
+    for i, A in enumerate(mats):
+        for j, B in enumerate(mats):
+            if i != j:
+                res = ps.gd(A, B, spec, seed=2, budget=4)
+                assert abs(gram[i, j] - res.total) <= 1e-12 * abs(res.total)
+                if res.stratum_index:
+                    degenerate += 1
+                    assert gram[i, j] == res.total
+    assert degenerate == 2
+    # one pair per chunk: the padded size is the group's, so nothing moves
+    monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", 1)
+    assert np.array_equal(ps.pairwise_gram(mats, spec, seed=2, budget=4), gram)
 
 
 def test_pairwise_gram_faithful_matches_gd():

@@ -89,6 +89,29 @@ def test_angle_domain_and_length_checks():
         ps.grassmann_distance(GM.GEODESIC, [0.1, 0.2], r=3)
 
 
+@pytest.mark.parametrize("metric", ALL)
+def test_stacked_angles_match_per_row_calls(metric):
+    rng = np.random.default_rng(3)
+    theta = np.sort(rng.uniform(0.0, math.pi / 2, size=(6, 3)), axis=1)
+    theta[0] = 0.0
+    theta[1, -1] = math.pi / 2  # Martin's distance is +inf here
+    stacked = ps.grassmann_distance(metric, theta)
+    assert stacked.shape == (6,)
+    assert np.array_equal(stacked, [ps.grassmann_distance(metric, row) for row in theta])
+    if metric is GM.MARTIN:
+        assert stacked[1] == math.inf and np.isfinite(np.delete(stacked, 1)).all()
+
+
+def test_stacked_angle_domain_check():
+    theta = np.array([[0.1, 0.2], [0.3, 2.0]])
+    with pytest.raises(ps.DomainError):
+        ps.grassmann_distance(GM.GEODESIC, theta)
+    with pytest.raises(ps.DomainError):
+        ps.grassmann_distance(GM.GEODESIC, -theta[:1])
+    with pytest.raises(ps.DomainError):
+        ps.grassmann_distance(GM.GEODESIC, theta[:, :1] * 0.0, r=2)
+
+
 def test_names_parse():
     for m in ALL:
         assert GM.from_name(m.value) is m

@@ -128,6 +128,20 @@ def test_psdmatrix_fields_cannot_be_reassigned():
     assert A.rank == 2 and A.tol_rank == ps.TOL_RANK
 
 
+def test_psdmatrix_arrays_are_read_only():
+    # an in-place write would leave the cached rank and eigensystem stale
+    rng = np.random.default_rng(41)
+    A, B = rand_psd_rank(rng, 5, 2), rand_psd_rank(rng, 5, 3)
+    spec = ps.MetricSpec(ps.GrassmannMetric.GEODESIC, ps.FiberDivergence.geodesic())
+    rank, total = A.rank, ps.gd(A, B, spec).total
+    w, V = A.eigensystem()
+    U, wr = A.compact_factors()
+    for arr, index in ((A.entries, (2, 2)), (w, (0,)), (V, (0, 0)), (U, (0, 0)), (wr, (0,))):
+        with pytest.raises(ValueError):
+            arr[index] = 5.0
+    assert A.rank == rank and ps.gd(A, B, spec).total == total
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_entries_rejected(bad):
     M = np.array([[bad, 0.0], [0.0, 1.0]])
