@@ -29,11 +29,11 @@ from .linalg import (
     _descend,
     _herm,
     _inv_half,
+    _principal_angles,
     check_hermitian,
     pencil_spectra,
-    small_angles_refined,
 )
-from .pointset import _spectrum_objective
+from .pointset import _spectrum_objective, _spectrum_values
 
 __all__ = [
     "MetricSpec",
@@ -189,20 +189,12 @@ def _prepare(lefts, rights, n=None):
     dtype = np.result_type(*{X.entries.dtype for X in lefts + rights})
     UA, wA = _padded_factors(lefts, n, dtype)
     UB, wB = _padded_factors(rights, n, dtype)
-    M = np.swapaxes(UA.conj(), -1, -2) @ UB
-    P, sig, Qh = np.linalg.svd(M, full_matrices=True)
-    sigma = np.clip(sig, 0.0, 1.0)
-    theta = small_angles_refined(sigma, UA, UB @ np.swapaxes(Qh[:, :r].conj(), -1, -2))
+    P, sigma, Qh, theta = _principal_angles(UA, UB)
     K = (P @ Qh[:, :r]) * np.sqrt(wB)[:, None, :] / np.sqrt(wA)[:, :, None]
     mu = np.linalg.svd(K, compute_uv=False) ** 2
     tol = np.array([X.tol_rank for X in lefts])
     return _Prepared(sigma=sigma, theta=theta, l=np.count_nonzero(sigma <= tol[:, None], axis=-1),
                      mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
-
-
-def _batch_values(spec, X_invhalf, Y11_batch):
-    """Fiber values of the pencils X^{-1} Y11 for a stack of Y11 blocks."""
-    return _fiber_values(spec, _spectrum_objective(spec, pencil_spectra(X_invhalf, Y11_batch)))
 
 
 # --- ambiguity group sampling -----------------------------------------
@@ -325,7 +317,8 @@ def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
     d1 = d2 = -np.inf
     for Gs, Ht in _frame_draws(C, D, sigma, l, samples, seed):
         Y11 = _congruence(Ht[:, :r], D)
-        vals = np.stack([_batch_values(spec, Cih @ G.conj().T, Y11) for G in Gs])
+        vals = np.stack([_spectrum_values(spec, pencil_spectra(Cih @ G.conj().T, Y11))
+                         for G in Gs])
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))
     return max(d1, d2)
@@ -346,7 +339,7 @@ def _tail_rows(r, l, D, Ts):
 def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
     """Fiber values for a stack of tail unitaries T conjugating D."""
     E = _tail_rows(C_invhalf.shape[0], l, D, Ts)
-    return _batch_values(spec, C_invhalf, _congruence(E, D))
+    return _spectrum_values(spec, pencil_spectra(C_invhalf, _congruence(E, D)))
 
 
 # iteration cap of the degenerate-stratum ascent
@@ -415,13 +408,16 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
     representation (algorithm1): a batched Riemannian ascent from the best
     max(2, budget) of 512 tails from the ambiguity sampler (over the reals
     with a one-dimensional tail, the two signs are enumerated instead).
-    `budget` must be >= 1. Deterministic given a seed.
+    `budget` must be >= 1, and both representations positive definite.
+    Deterministic given a seed.
     """
     _check_counts(budget=budget)
     C, D = check_hermitian(Crep), check_hermitian(Drep)
     r, s = C.shape[0], D.shape[0]
-    if l < 1 or r > s:
-        raise DomainError("degenerate evaluator needs l >= 1 and r <= s")
+    if not 1 <= l <= r <= s:
+        raise DomainError("degenerate evaluator needs 1 <= l <= r <= s")
+    if np.linalg.eigvalsh(D)[0] <= 0.0:
+        raise DomainError("fiber representation not positive definite")
     k = s - r + l
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     Cih = _inv_half(C)
@@ -462,11 +458,6 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     return _evaluate(_prepare([A], [B]), spec, seed, budget, samples)
 
 
-def _closed_fiber(fiber: FiberDivergence, mu):
-    """Fiber terms of a stack of generic pairs (l = 0) from their pencil spectra."""
-    return _fiber_values(fiber, _spectrum_objective(fiber, mu))
-
-
 def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
     """The distance of an aligned pair, a stack of one. Both modes take the
     closed form at l = 0, where every representation pair has the pencil of
@@ -475,7 +466,7 @@ def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdRes
     faithful = spec.hausdorff_mode == "faithful"
     l = int(prep.l[0])
     if l == 0:
-        fterm = float(_closed_fiber(spec.fiber, prep.mu)[0])
+        fterm = float(_spectrum_values(spec.fiber, prep.mu)[0])
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
         fterm = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber,
@@ -549,7 +540,7 @@ def _closed_distances(spec: MetricSpec, prep: _Prepared):
     generic = np.flatnonzero(prep.l == 0)
     if generic.size:
         gterm = grassmann_distance(spec.grassmann, prep.theta[generic])
-        fterm = _closed_fiber(spec.fiber, prep.mu[generic])
+        fterm = _spectrum_values(spec.fiber, prep.mu[generic])
         totals[generic] = [math.hypot(g, f) for g, f in zip(gterm, fterm)]
     return totals
 

@@ -42,8 +42,7 @@ def check_hermitian(M):
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
-    scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
-    if np.abs(M - M.conj().T).max() > TOL_HERMITIAN * scale:
+    if M.size and np.abs(M - M.conj().T).max() > TOL_HERMITIAN * (1.0 + np.abs(M).max()):
         raise DomainError("matrix is not Hermitian at tolerance")
     return _herm(M)
 
@@ -91,17 +90,12 @@ def psd_power(M, p):
     return _eig_power(w, V, p)
 
 
-def _inv_half_from(w, V):
-    """X^{-1/2} = V diag(w^{-1/2}) V* from the eigensystem of X."""
-    return (V / np.sqrt(w)) @ V.conj().T
-
-
 def _inv_half(X):
     """X^{-1/2} of a positive definite Hermitian X, from one eigh."""
     lam, V = np.linalg.eigh(_herm(X))
     if lam[0] <= 0.0:
         raise DomainError("fiber representation not positive definite")
-    return _inv_half_from(lam, V)
+    return _eig_power(lam, V, -0.5)
 
 
 def pencil_spectra(X_invhalf, Y):
@@ -120,7 +114,7 @@ def pencil_spectra(X_invhalf, Y):
 
 def _pencil_from_eig(w, V, Y):
     """Pencil spectrum of X^{-1} Y for X given by its eigensystem (w, V)."""
-    lam = pencil_spectra(_inv_half_from(w, V), Y).copy()
+    lam = pencil_spectra(_eig_power(w, V, -0.5), Y).copy()
     if lam[-1] <= 0.0:
         raise DomainError("pencil right argument is not positive definite")
     return lam
@@ -163,11 +157,9 @@ class PsdMatrix:
             if not 0.0 <= tol < np.inf:
                 raise DomainError(f"{name} must be finite and >= 0, got {tol}")
         entries = check_hermitian(self.entries)
-        w, V = np.linalg.eigh(entries)
-        wmax = w[-1] if w.size else 0.0
-        if w.size and w[0] < -self.tol_psd * (1.0 + max(wmax, 0.0)):
+        w, V = hermitian_eig(entries)
+        if w.size and w[-1] < -self.tol_psd * (1.0 + max(w[0], 0.0)):
             raise DomainError("matrix is not PSD at tolerance")
-        w, V = w[::-1].copy(), V[:, ::-1].copy()
         rank = 0 if w.size == 0 or w[0] <= 0.0 else int(np.count_nonzero(w > self.tol_rank * w[0]))
         # read-only, so that rank and the eigensystem cannot go stale
         for a in (entries, w, V):
@@ -270,20 +262,27 @@ def small_angles_refined(sigma, U_frame, bv):
     return theta
 
 
+def _principal_angles(UA, UB):
+    """(P, sigma, Qh, theta) from the full SVD UA* UB = P diag(sigma) Qh of a
+    frame pair or a stack of them (leading axes): sigma clipped to [0, 1], theta
+    refined by small_angles_refined on the k = min(r, s) aligned right vectors."""
+    P, s, Qh = np.linalg.svd(np.swapaxes(UA.conj(), -1, -2) @ UB, full_matrices=True)
+    sigma = np.clip(s, 0.0, 1.0)
+    k = sigma.shape[-1]
+    theta = small_angles_refined(sigma, UA, UB @ np.swapaxes(Qh[..., :k, :].conj(), -1, -2))
+    return P, sigma, Qh, theta
+
+
 def principal_system(U: Subspace, V: Subspace) -> PrincipalSystem:
-    """Principal angles and aligned frames from the full SVD of U* V."""
+    """Principal angles and aligned frames of one pair, by _principal_angles."""
     if U.n != V.n:
         raise DomainError(f"ambient mismatch: {U.n} vs {V.n}")
-    M = U.frame.conj().T @ V.frame
-    P, s, Qh = np.linalg.svd(M, full_matrices=True)
-    sigma = np.clip(s, 0.0, 1.0)
-    right = V.frame @ Qh.conj().T
-    theta = small_angles_refined(sigma, U.frame, right)
+    P, sigma, Qh, theta = _principal_angles(U.frame, V.frame)
     return PrincipalSystem(
         sigma=sigma,
         theta=theta,
         left_frame=U.frame @ P,
-        right_frame=right,
+        right_frame=V.frame @ Qh.conj().T,
     )
 
 

@@ -76,7 +76,7 @@ def pointset_value_from_spectrum(spec: FiberDivergence, mu, side="minus") -> Poi
         raise DomainError("the two-parameter geodesic family has no shared closed form; "
                           "use alpha_beta_pointset")
     mu = np.asarray(mu, dtype=float)
-    value = float(_fiber_values(spec, _spectrum_objective(spec, mu)))
+    value = float(_spectrum_values(spec, mu))
     return PointSetValue(value, side, np.maximum(1.0, mu))
 
 
@@ -162,6 +162,12 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
         return _defined(spec, _objective(spec, lam))
     F, dF = _objective(spec, lam, with_grad=True)
     return _defined(spec, F), np.where(mu > 1.0, dF, 0.0)
+
+
+def _spectrum_values(spec: FiberDivergence, mu):
+    """Values of stacked descending pencil spectra: F, then the outer exponent
+    and the bound. Every closed form and sampled pencil in `gd` maps here."""
+    return _fiber_values(spec, _spectrum_objective(spec, mu))
 
 
 def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:

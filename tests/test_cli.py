@@ -1,5 +1,6 @@
 """Command-line surface: file format, commands, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -238,6 +239,24 @@ def test_pairwise_directory_symmetric_csv(tmp_path, capsys):
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.abs(rows - rows.T).max() <= 1e-10
     assert np.allclose(np.diag(rows), 0.0)
+
+
+def test_martin_infinity_in_json_and_csv(tmp_path, capsys):
+    # a right principal angle: dist writes bare Infinity, pairwise writes inf
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 1.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([1.0, 0.0, 1.0]))
+    code, out, _ = run_cli(capsys, "dist", "--a", a, "--b", b, "--grassmann", "martin")
+    assert code == 0 and '"total": Infinity' in out
+    assert json.loads(out)["total"] == math.inf
+    out_path = tmp_path / "gram.csv"
+    code, _, _ = run_cli(capsys, "pairwise", "--inputs", f"{a},{b}", "--grassmann", "martin",
+                         "--out", str(out_path))
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "b"]
+    gram = [[float(v) for v in row] for row in rows[1:]]
+    assert gram == [[0.0, math.inf], [math.inf, 0.0]]
 
 
 def test_pairwise_triangle_violation(tmp_path, capsys):

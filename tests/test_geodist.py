@@ -274,6 +274,14 @@ def test_degenerate_fiber_validates_its_arguments():
         ps.gd_degenerate_fiber(np.array([[1.0, 0.5], [0.0, 1.0]]), D, 1, FD.geodesic())
     with pytest.raises(ps.DomainError, match="not Hermitian"):
         ps.gd_degenerate_fiber(C, D + np.triu(np.ones((3, 3)), 1), 1, FD.geodesic())
+    # the clamp max(1, mu) would hide a negative pencil behind a plausible value
+    for Dbad in (-np.eye(3), np.diag([4.0, 1.0, -5.0])):
+        for fiber in (FD.geodesic(), FD.kl()):
+            with pytest.raises(ps.DomainError, match="not positive definite"):
+                ps.gd_degenerate_fiber(C, Dbad, 1, fiber)
+    for l in (0, 3):
+        with pytest.raises(ps.DomainError, match="1 <= l <= r"):
+            ps.gd_degenerate_fiber(C, D, l, FD.geodesic())
 
 
 def test_determinism_same_seed_same_result():

@@ -151,6 +151,21 @@ def test_non_finite_entries_rejected(bad):
         ps.PsdMatrix(M)
 
 
+def test_empty_matrix_is_rank_zero_and_fails_typed():
+    E = np.zeros((0, 0))
+    A = ps.PsdMatrix(E)
+    assert A.rank == 0 and A.n == 0
+    w, V = ps.hermitian_eig(E)
+    assert w.shape == (0,) and V.shape == (0, 0)
+    spec = ps.MetricSpec(ps.GrassmannMetric.GEODESIC, ps.FiberDivergence.geodesic())
+    with pytest.raises(ps.DomainError, match="zero-rank input"):
+        ps.gd(A, ps.PsdMatrix(np.eye(2)), spec)
+    with pytest.raises(ps.DomainError):
+        ps.psd_power(E, 0.5)
+    with pytest.raises(ps.DomainError):
+        ps.pencil_eigenvalues(E, E)
+
+
 def test_range_subspace_of_low_rank_diagonal():
     A = ps.PsdMatrix(EXAMPLE_A)
     U = ps.range_subspace(A)
