@@ -32,9 +32,7 @@ def _read_matrix(path, args):
 def _load_psd(path, args):
     entries = _read_matrix(path, args)
     try:
-        return PsdMatrix(entries,
-                         tol_rank=TOL_RANK if args.tol is None else args.tol,
-                         tol_psd=TOL_PSD if args.tol_psd is None else args.tol_psd)
+        return PsdMatrix(entries, tol_rank=args.tol, tol_psd=args.tol_psd)
     except DomainError as e:
         raise DomainError(f"{path}: {e}")
 
@@ -134,12 +132,14 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_metric=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None, help="rank tolerance")
-        p.add_argument("--tol-psd", dest="tol_psd", type=float, default=None)
+    def common(p, psd_inputs=True, with_metric=True):
+        """Tolerances for PsdMatrix inputs, the metric for distance commands."""
+        if psd_inputs:
+            p.add_argument("--tol", type=float, default=TOL_RANK, help="rank tolerance")
+            p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
         p.add_argument("--field", choices=["real", "complex"], default="real")
         if with_metric:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--grassmann", default="geodesic")
             p.add_argument("--fiber", default="geo")
             p.add_argument("--hausdorff", choices=["algorithm1", "faithful"],
@@ -167,7 +167,7 @@ def build_parser():
     p.add_argument("--d", required=True)
     p.add_argument("--which", choices=["minus", "plus"], required=True)
     p.add_argument("--fiber", default="geo")
-    common(p, with_metric=False)
+    common(p, psd_inputs=False, with_metric=False)
     p.set_defaults(func=cmd_project_lift)
 
     p = sub.add_parser("transport", help="parallel transport along a base geodesic")
@@ -183,19 +183,12 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, DomainError, OptimizerError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OptimizerError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(e, ParseError) else 3 if isinstance(e, DomainError) else 4
 
 
 if __name__ == "__main__":

@@ -106,11 +106,7 @@ class FiberDivergence:
         return replace(self, symmetrized=True)
 
     def with_bound(self, name, eps=10.0):
-        if name == "ratio":
-            return replace(self, bound=("ratio",))
-        if name == "clamp":
-            return replace(self, bound=("clamp", float(eps)))
-        raise DomainError(f"unknown bound transform {name!r}")
+        return replace(self, bound=("clamp", float(eps)) if name == "clamp" else (name,))
 
     @property
     def outer_exponent(self):
@@ -173,14 +169,17 @@ def _objective(spec: FiberDivergence, lam, with_grad=False):
 
     Phi = sum g(lambda) for per-eigenvalue families and
     alpha*sum(log^2) + beta*(sum log)^2 for the two-parameter geodesic
-    family. With `with_grad`, also returns dPhi/dlambda. Never raises or
-    warns: Phi is not finite where the family is undefined.
+    family, which is defined on m eigenvalues only in its region
+    beta > -alpha/m. With `with_grad`, also returns dPhi/dlambda. Never
+    raises or warns: Phi is not finite where the family is undefined.
     """
     with np.errstate(all="ignore"):
         if spec.kind == GEODESIC_AB and spec.beta != 0.0:
             log = np.log(lam)
             S = np.sum(log, axis=-1)
             phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * S**2
+            if not geodesic_ab_is_distance_check(spec.alpha, spec.beta, lam.shape[-1]):
+                phi = np.full(np.shape(phi), np.nan)
             if not with_grad:
                 return phi
             return phi, (2.0 * spec.alpha * log + 2.0 * spec.beta * S[..., None]) / lam
@@ -193,6 +192,9 @@ def _objective(spec: FiberDivergence, lam, with_grad=False):
 def _defined(spec: FiberDivergence, phi):
     """phi, after checking the family is defined (phi finite) on every spectrum."""
     if not np.all(np.isfinite(phi)):
+        if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+            raise DomainError(f"geoab:{spec.alpha:g},{spec.beta:g} is outside the region "
+                              "beta > -alpha/m where it is defined on m pencil eigenvalues")
         raise DomainError(f"the {spec.kind} divergence is undefined on this pencil spectrum")
     return phi
 

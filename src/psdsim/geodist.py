@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,9 +217,7 @@ def _sigma_blocks(sigma, count):
 
 
 def _random_unitaries(rng, count, k, complex_field):
-    """A (count, k, k) stack of random orthogonal/unitary matrices."""
-    if k == 0:
-        return np.zeros((count, 0, 0))
+    """A (count, k, k) stack of random orthogonal/unitary matrices, k >= 1."""
     G = rng.normal(size=(count, k, k))
     if complex_field:
         G = G + 1j * rng.normal(size=(count, k, k))
@@ -455,30 +452,24 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     _check_counts(budget=budget, samples=samples)
     if A.rank > B.rank:
         A, B = B, A  # the measurement is symmetric across unequal ranks
-    return _evaluate(_prepare([A], [B]), spec, seed, budget, samples)
-
-
-def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdResult:
-    """The distance of an aligned pair, a stack of one. Both modes take the
-    closed form at l = 0, where every representation pair has the pencil of
-    (C, D11)."""
-    gterm = float(grassmann_distance(spec.grassmann, prep.theta)[0])
+    prep = _prepare([A], [B])  # an aligned pair, a stack of one
     faithful = spec.hausdorff_mode == "faithful"
     l = int(prep.l[0])
+    fterm = np.full(1, np.nan)
     if l == 0:
-        fterm = float(_spectrum_values(spec.fiber, prep.mu)[0])
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
-        fterm = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber,
-                                20000 if samples is None else samples, seed)
+        fterm[0] = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber,
+                                   20000 if samples is None else samples, seed)
         mode = "faithfulSampled"
     else:
-        fterm = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)
+        fterm[0] = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)
         mode = "optimizedDegenerate"
+    gterm, total = _closed_form(spec, prep, fterm)
     return GdResult(
-        total=math.hypot(gterm, fterm),
-        grassmann_term=gterm,
-        fiber_term=fterm,
+        total=float(total[0]),
+        grassmann_term=float(gterm[0]),
+        fiber_term=float(fterm[0]),
         stratum_index=l,
         pencil_spectrum=np.maximum(1.0, prep.mu[0]),
         angles=prep.theta[0],
@@ -486,12 +477,19 @@ def _evaluate(prep: _Prepared, spec: MetricSpec, seed, budget, samples) -> GdRes
     )
 
 
-@contextmanager
-def _pair_context(i, j):
-    try:
-        yield
-    except DomainError as e:
-        raise DomainError(f"pair ({i}, {j}): {e}") from e
+def _closed_form(spec: MetricSpec, prep: _Prepared, fterm):
+    """Grassmann terms and totals sqrt(g^2 + f^2) of a stack of pairs.
+
+    Fills in, in place, the fiber terms `fterm` of the generic (l = 0)
+    pairs by the closed form, which both modes take there since every
+    representation pair has the pencil of (C, D11); the caller supplies
+    those of the degenerate pairs (NaN where it has none).
+    """
+    generic = prep.l == 0
+    if generic.any():
+        fterm[generic] = _spectrum_values(spec.fiber, prep.mu[generic])
+    gterm = grassmann_distance(spec.grassmann, prep.theta)
+    return gterm, np.array([math.hypot(g, f) for g, f in zip(gterm, fterm)])
 
 
 def _generic_distances(mats, spec: MetricSpec):
@@ -519,30 +517,18 @@ def _generic_distances(mats, spec: MetricSpec):
             a, b = np.array(pairs[c:c + size]).T
             try:
                 prep = _prepare([mats[k] for k in a], [mats[k] for k in b], N)
-                fwd = _closed_distances(spec, prep)
+                fwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
                 if r == s:  # the reverse direction off the same factorization
-                    bwd = _closed_distances(spec, prep.reversed(
-                        np.array([mats[k].tol_rank for k in b])))
+                    prep = prep.reversed(np.array([mats[k].tol_rank for k in b]))
+                    bwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
                 else:  # symmetric across unequal ranks
                     bwd = fwd
             except (PsdSimError, np.linalg.LinAlgError):
                 continue  # left to gd, which raises in loop order
-            for x, y, v in ((a, b, fwd), (b, a, bwd)):
-                generic = ~np.isnan(v)
+            for x, y, (generic, v) in ((a, b, fwd), (b, a, bwd)):
                 out[x[generic], y[generic]] = v[generic]
                 done[x[generic], y[generic]] = True
     return out, done
-
-
-def _closed_distances(spec: MetricSpec, prep: _Prepared):
-    """Closed-form totals of a stack, NaN at its degenerate (l >= 1) pairs."""
-    totals = np.full(len(prep.l), np.nan)
-    generic = np.flatnonzero(prep.l == 0)
-    if generic.size:
-        gterm = grassmann_distance(spec.grassmann, prep.theta[generic])
-        fterm = _spectrum_values(spec.fiber, prep.mu[generic])
-        totals[generic] = [math.hypot(g, f) for g, f in zip(gterm, fterm)]
-    return totals
 
 
 def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
@@ -576,8 +562,10 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
             for a, b in ((i, j), (j, i)):
                 if done[a, b]:
                     continue
-                with _pair_context(a, b):
+                try:
                     out[a, b] = gd(mats[a], mats[b], spec, **kw).total
+                except DomainError as e:
+                    raise DomainError(f"pair ({a}, {b}): {e}") from e
                 if mats[a].rank != mats[b].rank:
                     out[b, a] = out[a, b]
                     break

@@ -30,7 +30,7 @@ class GrassmannMetric(enum.Enum):
             raise ParseError(f"unknown Grassmann metric {name!r}; expected one of: {valid}")
 
 
-def grassmann_distance(metric: GrassmannMetric, theta, r=None):
+def grassmann_distance(metric: GrassmannMetric, theta):
     """Distance between two subspaces from their principal angles.
 
     theta must be ascending in [0, pi/2], length min{r, s}. Martin's
@@ -44,8 +44,6 @@ def grassmann_distance(metric: GrassmannMetric, theta, r=None):
     if theta.min() < -1e-12 or theta.max() > math.pi / 2 + 1e-12:
         raise DomainError("principal angles must lie in [0, pi/2]")
     theta = np.clip(theta, 0.0, math.pi / 2)
-    if r is not None and theta.shape[-1] != r:
-        raise DomainError(f"expected {r} principal angles, got {theta.shape[-1]}")
     c = np.cos(theta)
     s = np.sin(theta)
     top = theta[..., -1]  # largest angle

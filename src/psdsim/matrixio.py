@@ -24,17 +24,9 @@ def format_matrix(M) -> str:
     field = "complex" if np.iscomplexobj(M) else "real"
     rows, cols = M.shape
     head = f"{MAGIC} {field} {rows}" + ("" if rows == cols else f" {cols}")
-    lines = [head]
-    for i in range(rows):
-        if field == "complex":
-            vals = []
-            for z in M[i]:
-                z = complex(z)
-                vals.extend((z.real, z.imag))
-        else:
-            vals = [float(v) for v in M[i]]
-        lines.append(" ".join(f"{v:.17g}" for v in vals))
-    return "\n".join(lines) + "\n"
+    # a complex row viewed as floats interleaves its real and imaginary parts
+    vals = np.ascontiguousarray(M, dtype=complex if field == "complex" else float).view(float)
+    return "\n".join([head] + [" ".join(f"{v:.17g}" for v in row) for row in vals.tolist()]) + "\n"
 
 
 def parse_matrix_text(text: str):

@@ -71,11 +71,13 @@ def _check_pair(C, D):
 
 
 def pointset_value_from_spectrum(spec: FiberDivergence, mu, side="minus") -> PointSetValue:
-    """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11)."""
+    """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11) > 0."""
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         raise DomainError("the two-parameter geodesic family has no shared closed form; "
                           "use alpha_beta_pointset")
     mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0.0):
+        raise DomainError(f"pencil spectrum must be positive, got {mu.min():g}")
     value = float(_spectrum_values(spec, mu))
     return PointSetValue(value, side, np.maximum(1.0, mu))
 
@@ -148,10 +150,13 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     finite; every family has g'(1) = 0, so F is C^1 across the clamp. For
     the two-parameter geodesic family F is the optimal value of the box QP
     in c = log mu, whose derivative is the KKT multiplier
-    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu.
+    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu; it is
+    convex, and the family defined, only for beta > -alpha/r.
     """
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         mu = np.maximum(mu, 1e-300)
+        if not geodesic_ab_is_distance_check(spec.alpha, spec.beta, mu.shape[-1]):
+            _defined(spec, np.nan)  # the one domain rule, as in divergences._objective
         F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
         if not with_grad:
             return F

@@ -1,5 +1,6 @@
 """Command-line surface: file format, commands, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import psdsim as ps
+import psdsim.cli
 from psdsim.cli import main
 from psdsim.matrixio import format_matrix, parse_matrix_text
 from helpers import EXAMPLE_A, EXAMPLE_B, rand_frame, rand_pd
@@ -150,6 +152,17 @@ def test_dist_outside_the_divergence_domain_exits_3(tmp_path, capsys):
         code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", "is:1",
                                  "--hausdorff", mode, "--budget", "2", "--samples", "64")
         assert code == 3 and out == "" and "itakurasaito divergence is undefined" in err, mode
+
+
+def test_two_parameter_fiber_outside_its_region_exits_3(tmp_path, capsys):
+    # the r = 2 pencil needs beta > -alpha/2
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 1.0, 0.0]))
+    code, out, _ = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", "geoab:1,-0.3")
+    assert code == 0 and json.loads(out)["total"] == 0.83047282945580592
+    for fiber in ("geoab:1,-0.5", "geoab:1,-0.9"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", fiber)
+        assert code == 3 and out == "" and "outside the region beta > -alpha/m" in err, fiber
 
 
 def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
@@ -380,3 +393,53 @@ def test_project_lift_singular_c_exits_3(tmp_path, capsys):
     for which in ("minus", "plus"):
         code, out, err = run_cli(capsys, "project-lift", "--c", c, "--d", d, "--which", which)
         assert code == 3 and out == "" and "C is not positive definite" in err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_parsed_option_is_read(tmp_path, capsys, monkeypatch):
+    # complex inputs, so that each command also reads --field
+    build, parsed = psdsim.cli.build_parser, []
+
+    def recording_parser():
+        ap = build()
+        parse = ap.parse_args
+
+        def parse_args(argv):
+            ns = parse(argv, namespace=_ReadRecorder())
+            ns.__dict__["_read"] = set()  # forget the reads of the parser itself
+            parsed.append(ns)
+            return ns
+
+        ap.parse_args = parse_args
+        return ap
+
+    monkeypatch.setattr(psdsim.cli, "build_parser", recording_parser)
+
+    def cfile(name, M):
+        path = tmp_path / name
+        path.write_text(format_matrix(np.asarray(M, dtype=complex)))
+        return str(path)
+
+    a = cfile("a.psdm", np.diag([2.0, 1.0, 0.0]))
+    b = cfile("b.psdm", np.diag([1.0, 3.0, 0.5]))
+    frame = cfile("t.psdm", np.eye(3)[:, :2] * 1j)
+    commands = (
+        ["dist", "--a", a, "--b", b],
+        ["pairwise", "--inputs", f"{a},{b}", "--out", str(tmp_path / "g.csv")],
+        ["project-lift", "--c", cfile("c.psdm", np.eye(2)), "--d", b, "--which", "minus"],
+        ["transport", "--a", a, "--target", frame, "--steps", "1"],
+    )
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv, "--field", "complex")
+        assert code == 0, (argv[0], err)
+        ns = parsed[-1]
+        unread = set(vars(ns)) - ns.__dict__["_read"] - {"_read", "command", "func"}
+        assert not unread, (argv[0], sorted(unread))

@@ -90,6 +90,21 @@ def test_geodesic_family_distance_region():
     assert not ps.geodesic_ab_is_distance_check(-1.0, 0.5, 3)
 
 
+def test_geodesic_family_undefined_outside_its_region():
+    # the family is defined on m = 2 eigenvalues only for beta > -alpha/2
+    X, Y = np.eye(2), 2.0 * np.eye(2)
+    for beta in (-0.5, -0.9):
+        with pytest.raises(ps.DomainError, match=r"region beta > -alpha/m"):
+            ps.divergence(FD.geodesic_ab(1.0, beta), X, Y)
+    want = math.sqrt(2 * math.log(2.0) ** 2 - 0.4 * (2 * math.log(2.0)) ** 2)
+    assert abs(ps.divergence(FD.geodesic_ab(1.0, -0.4), X, Y) - want) <= 1e-12
+    # the oracle sees +inf outside the region, as for every other family
+    C, D = np.diag([1.0, 2.0]), np.diag([1.5, 0.5, 1.0])
+    outside = FD.geodesic_ab(1.0, -0.9)
+    for side in ("minus", "plus"):
+        assert ps.oracle_min_over_omega(outside, C, D, side, budget=2) == math.inf
+
+
 def test_itakura_saito_domain_violation():
     # needs 1 - alpha log(lambda) > 0; lambda = e^3 with alpha = 1 violates it
     X = np.eye(2)
@@ -113,6 +128,8 @@ def test_bounded_transforms():
     assert abs(ps.divergence(spec.with_bound("ratio"), X, Y) - raw / (1 + raw)) <= 1e-12
     assert abs(ps.divergence(spec.with_bound("clamp", 1e-6), X, Y) - 1e-6) <= 1e-18
     assert abs(ps.divergence(spec.with_bound("clamp", 50.0), X, Y) - raw) <= 1e-12
+    with pytest.raises(ps.DomainError, match="unknown bound transform"):
+        spec.with_bound("foo")
 
 
 def test_parameter_validation():

@@ -244,6 +244,29 @@ def test_coupled_two_parameter_fiber_uses_one_sided_program():
     assert abs(res.total**2 - res.grassmann_term**2 - res.fiber_term**2) <= 1e-10
 
 
+def test_two_parameter_fiber_outside_its_region_raises():
+    # on the r = 2 pencil the family is defined only for beta > -alpha/2;
+    # below it the quadratic program is not convex
+    A, B = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0])), ps.PsdMatrix(np.diag([3.0, 1.0, 0.0]))
+
+    def spec(beta, mode="algorithm1"):
+        return ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1.0, beta), mode)
+
+    assert ps.gd(A, B, spec(-0.3)).to_json().startswith('{"total": 0.83047282945580592,')
+    for beta in (-0.5, -0.9):
+        region = rf"geoab:1,{beta:g} is outside the region beta > -alpha/m"
+        for X, Y in ((A, B), (B, A)):
+            with pytest.raises(ps.DomainError, match=region):
+                ps.gd(X, Y, spec(beta))
+        with pytest.raises(ps.DomainError, match=r"pair \(0, 1\): " + region):
+            ps.pairwise_gram([A, B], spec(beta))
+    # the worked pair (r = 3, l = 2) on both degenerate paths
+    C, D = example_pair()
+    for mode in ("algorithm1", "faithful"):
+        with pytest.raises(ps.DomainError, match="outside the region"):
+            ps.gd(C, D, spec(-0.5, mode), budget=2, samples=64)
+
+
 def test_degenerate_sign_enumeration_is_exact():
     # one-dimensional residual group over the reals: only +-1 to try
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0]))

@@ -93,6 +93,15 @@ def test_rank_order_rejected():
         ps.pointset_minus(FD.kl(), C, D)
 
 
+def test_value_from_spectrum_rejects_non_positive_spectra():
+    # a non-positive spectrum comes from no positive definite pair; it is not clamped
+    for mu in ([2.0, -1.0], [-3.0, -4.0], [1.5, 0.0]):
+        with pytest.raises(ps.DomainError, match="positive"):
+            ps.pointset.pointset_value_from_spectrum(FD.kl(), mu)
+    value = ps.pointset.pointset_value_from_spectrum(FD.kl(), [2.0, 0.5]).value
+    assert abs(value - 0.5 * (0.5 + math.log(2.0) - 1.0)) <= 1e-15
+
+
 def test_two_parameter_family_needs_dedicated_path():
     rng = np.random.default_rng(4)
     C, D = rand_pair(rng, 2, 3)
