@@ -10,6 +10,7 @@ two-parameter family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -50,11 +51,14 @@ class FiberDivergence:
         elif self.kind == GEODESIC_AB:
             if a <= 0.0:
                 raise DomainError("geodesic family needs alpha > 0")
-        if self.bound is not None:
-            if self.bound[0] not in ("ratio", "clamp"):
-                raise DomainError(f"unknown bound transform {self.bound!r}")
-            if self.bound[0] == "clamp" and self.bound[1] <= 0.0:
-                raise DomainError("clamp bound needs a positive threshold")
+        bound = self.bound
+        if bound is not None and bound != ("ratio",):
+            if not (isinstance(bound, tuple) and len(bound) == 2 and bound[0] == "clamp"):
+                raise DomainError(f"unknown bound transform {bound!r}; "
+                                  "expected ('ratio',) or ('clamp', eps)")
+            if not (isinstance(bound[1], Real) and 0.0 < bound[1] < np.inf):
+                raise DomainError("clamp bound needs a finite positive threshold, "
+                                  f"got {bound[1]!r}")
 
     # --- constructors -------------------------------------------------
     @staticmethod

@@ -118,8 +118,9 @@ def generalized_hausdorff(f, pairs):
 # --- internal: preparation of stacks of aligned fiber pairs -----------
 
 
-# byte budget of one (m, N, s) stack of padded factors in pairwise_gram; a
-# chunk holds at least one pair
+# byte budget of one stacked chunk: the (pairs, N, s) padded factors of
+# pairwise_gram and the (rows, n_t, r, r) pencil stack of a faithful draw; a
+# chunk holds at least one pair or one row
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -307,15 +308,22 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
 def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
     """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
 
-    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*.
+    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
+    pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11.
+    Each of the 4 draws is an (n_s, n_t) table of pencil values: chunks of
+    left frames, each chunk's (rows, n_t, r, r) stack within _CHUNK_BYTES,
+    go through pencil_spectra and the value map as one stack. The table is
+    the same for any chunk size.
     """
     r = C.shape[0]
     Cih = _inv_half(C)
     d1 = d2 = -np.inf
     for Gs, Ht in _frame_draws(C, D, sigma, l, samples, seed):
+        F = Cih @ np.swapaxes(Gs.conj(), -1, -2)
         Y11 = _congruence(Ht[:, :r], D)
-        vals = np.stack([_spectrum_values(spec, pencil_spectra(Cih @ G.conj().T, Y11))
-                         for G in Gs])
+        rows = max(1, _CHUNK_BYTES // Y11.nbytes)
+        vals = np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows], Y11))
+                               for i in range(0, len(F), rows)])
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))
     return max(d1, d2)

@@ -99,17 +99,28 @@ def _inv_half(X):
 
 
 def pencil_spectra(X_invhalf, Y):
-    """Descending spectra of X^{-1} Y, for Y or a stack of Y, as one (stacked)
-    eigvalsh of F Y F*. F may be any factor with F* F = X^{-1}: X^{-1/2}, or
-    C^{-1/2} G* for X = G C G* with G unitary. `pencil_eigenvalues`, the
-    point-set values and the sampled values of `gd` (faithful mode and the
-    coarse pass of `algorithm1`) take their spectra from here. The closed
-    form of `gd` takes sigma(K)^2 instead, and the paths that also need
-    eigenvectors (the degenerate ascent, both sides of the verification
-    oracle, the point-set witnesses) call eigh on F Y F* themselves.
+    """Descending spectra of X^{-1} Y for every pair of a factor F (a matrix
+    or a stack) and a Y (a matrix or a stack), as one stacked eigvalsh of
+    F Y F*; the result has shape F's stack + Y's stack + (r,).
+
+    F may be any factor with F* F = X^{-1}: X^{-1/2}, or C^{-1/2} G* for
+    X = G C G* with G unitary. Each F Y is one small product, and each
+    factor's row of (F Y) F* one product of an (n r) x r by an r x r
+    matrix, so a stack of factors gives, bit for bit, the spectra of one
+    call per factor. `pencil_eigenvalues`, the point-set values and the
+    sampled values of `gd` (faithful mode's table of left and right frames
+    and the coarse pass of `algorithm1`) take their spectra from here. The
+    closed form of `gd` takes sigma(K)^2 instead, and the paths that also
+    need eigenvectors (the degenerate ascent, both sides of the
+    verification oracle, the point-set witnesses) call eigh on F Y F*
+    themselves.
     """
-    W = X_invhalf @ Y @ X_invhalf.conj().T
-    return np.linalg.eigvalsh(_herm(W))[..., ::-1]
+    r = Y.shape[-1]
+    F = X_invhalf.reshape(-1, r, r)
+    FY = F[:, None] @ Y.reshape(-1, r, r)
+    W = (FY.reshape(len(F), -1, r) @ np.swapaxes(F.conj(), -1, -2)).reshape(FY.shape)
+    lam = np.linalg.eigvalsh(_herm(W))[..., ::-1]
+    return lam.reshape(X_invhalf.shape[:-2] + Y.shape[:-2] + (r,))
 
 
 def _pencil_from_eig(w, V, Y):

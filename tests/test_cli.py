@@ -154,6 +154,14 @@ def test_dist_outside_the_divergence_domain_exits_3(tmp_path, capsys):
         assert code == 3 and out == "" and "itakurasaito divergence is undefined" in err, mode
 
 
+def test_non_finite_clamp_threshold_exits_2(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 1.0, 0.0]))
+    for fiber in ("kl+clamp=nan", "kl+clamp=-1"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", fiber)
+        assert code == 2 and out == "" and "bad clamp threshold" in err, fiber
+
+
 def test_two_parameter_fiber_outside_its_region_exits_3(tmp_path, capsys):
     # the r = 2 pencil needs beta > -alpha/2
     a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0]))

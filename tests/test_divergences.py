@@ -132,6 +132,22 @@ def test_bounded_transforms():
         spec.with_bound("foo")
 
 
+def test_bound_is_ratio_or_a_finite_positive_clamp():
+    assert FD("kl", bound=("ratio",)).bound == ("ratio",)
+    assert FD("kl", bound=("clamp", 2)).bound == ("clamp", 2)
+    # a missing or stray field is not a transform
+    for bad in (("clamp",), ("ratio", 5.0), ("clamp", 1.0, 2.0), ["ratio"]):
+        with pytest.raises(ps.DomainError, match="unknown bound transform"):
+            FD("kl", bound=bad)
+    # NaN fails every comparison, so a `<= 0` test would let it through
+    for eps in (float("nan"), float("inf"), 0.0, -1.0, "5"):
+        with pytest.raises(ps.DomainError, match="finite positive threshold"):
+            FD("kl", bound=("clamp", eps))
+    for text in ("kl+clamp=nan", "kl+clamp=inf", "kl+clamp=0"):
+        with pytest.raises(ps.ParseError, match="bad clamp threshold"):
+            ps.parse_divergence(text)
+
+
 def test_parameter_validation():
     with pytest.raises(ps.DomainError):
         FD.alpha_beta(1.0, -1.0)  # alpha + beta = 0

@@ -639,9 +639,10 @@ def test_faithful_generic_value_is_the_representation_set_value(complex_field):
 
 
 @pytest.mark.parametrize("pair", ["worked", "complex", "tol_rank"])
-def test_faithful_degenerate_value_is_the_representation_set_value(pair):
+def test_faithful_degenerate_value_is_the_representation_set_value(pair, monkeypatch):
     # faithful mode and representation_set draw the same frames, so the
-    # sampled max-min is the Hausdorff value over that set
+    # sampled max-min is the Hausdorff value over that set, however the
+    # table of left and right frames is cut into chunks
     if pair == "worked":
         A, B = example_pair()
     elif pair == "complex":
@@ -653,8 +654,13 @@ def test_faithful_degenerate_value_is_the_representation_set_value(pair):
         R = np.eye(5)
         R[np.ix_([1, 3], [1, 3])] = R[np.ix_([2, 4], [2, 4])] = [[c, -s], [s, c]]
         A, B = (ps.PsdMatrix(M, tol_rank=1e-6) for M in (EXAMPLE_A, R @ EXAMPLE_B @ R.T))
+    default = ps.geodist._CHUNK_BYTES
     for fiber in (FD.geodesic(), FD.kl()):
-        for samples, seed in ((1, 0), (50, 3), (300, 7)):
+        # at 4,000 bytes the 300-sample draws (8 x 9 frames, r = 3) take 6
+        # rows a chunk over the reals and 3 over the complex numbers
+        for samples, seed, chunk_bytes in ((1, 0, default), (50, 3, default),
+                                           (300, 7, default), (300, 7, 4000)):
+            monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", chunk_bytes)
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
                         samples=samples, seed=seed)
             want = ps.generalized_hausdorff(
@@ -696,6 +702,26 @@ def test_faithful_generic_value_ignores_seed_and_samples():
     values = {ps.gd(A, B, spec, seed=seed, samples=samples).fiber_term
               for seed in range(4) for samples in (100, 100_000)}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("pair", ["worked", "complex"])
+def test_faithful_value_does_not_depend_on_the_chunk_size(pair, monkeypatch):
+    # one row of left frames a chunk against the default budget, which cuts
+    # the 20,000-sample draws into several chunks of rows
+    if pair == "worked":
+        A, B = example_pair()
+    else:
+        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+    default = ps.geodist._CHUNK_BYTES
+    for fiber in (FD.geodesic(), ps.parse_divergence("kl+clamp=5")):
+        spec = ps.MetricSpec(GM.GEODESIC, fiber, "faithful")
+        for samples in (2000, 20000):
+            monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", default)
+            want = ps.gd(A, B, spec, samples=samples, seed=5)
+            monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", 1)
+            got = ps.gd(A, B, spec, samples=samples, seed=5)
+            assert want.stratum_index == 2
+            assert got.to_json() == want.to_json(), (pair, fiber.kind, samples)
 
 
 def test_faithful_degenerate_decomposes_c_once(monkeypatch):

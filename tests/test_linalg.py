@@ -95,6 +95,28 @@ def test_pencil_matches_symmetric_form():
     assert np.abs(ps.pencil_eigenvalues(X, Y) - ref).max() <= 1e-10
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pencil_spectra_of_a_factor_stack_match_one_call_per_factor(complex_field):
+    # faithful mode evaluates chunks of left-frame factors against every Y at
+    # once; its table must not depend on how the factors are chunked
+    rng = np.random.default_rng(5)
+    for r, m, n in ((1, 3, 4), (3, 5, 7), (4, 2, 1)):
+        F = rng.normal(size=(m, r, r)) + (1j * rng.normal(size=(m, r, r)) if complex_field else 0.0)
+        Y = np.stack([rand_pd(rng, r) for _ in range(n)])
+        if complex_field:
+            S = rng.normal(size=(n, r, r))
+            Y = Y + 0.1j * (S - np.swapaxes(S, -1, -2))
+        table = ps.linalg.pencil_spectra(F, Y)
+        assert table.shape == (m, n, r)
+        for i in range(m):
+            assert np.array_equal(table[i], ps.linalg.pencil_spectra(F[i], Y))
+            for j in range(n):
+                one = ps.linalg.pencil_spectra(F[i], Y[j])
+                assert np.abs(table[i, j] - one).max() <= 1e-12 * np.abs(one).max()
+        # the factor stack keeps its own leading axes
+        assert np.array_equal(ps.linalg.pencil_spectra(F.reshape(1, m, r, r), Y)[0], table)
+
+
 def test_pencil_congruence_invariance():
     rng = np.random.default_rng(4)
     X, Y = rand_pd(rng, 4), rand_pd(rng, 4)
