@@ -18,7 +18,7 @@ from .geometry import subspace_geodesic, transport_curve
 from .grassmann import GrassmannMetric
 from .linalg import TOL_PSD, TOL_RANK, PsdMatrix, Subspace, range_subspace
 from .matrixio import format_matrix, parse_matrix_file
-from .pointset import pointset_minus, pointset_plus
+from .pointset import lift_plus, pointset_minus, pointset_plus, project_minus
 
 
 def _read_matrix(path, args):
@@ -101,10 +101,12 @@ def cmd_project_lift(args):
     C = _read_matrix(args.c, args)
     D = _read_matrix(args.d, args)
     spec = parse_divergence(args.fiber)
-    side = pointset_minus if args.which == "minus" else pointset_plus
-    out = side(spec, C, D, with_witness=True)
-    sys.stdout.write(format_matrix(out.witness))
-    sys.stdout.write('{"side": "%s", "value": %.17g}\n' % (args.which, out.value))
+    if args.which == "minus":
+        value, witness = pointset_minus(spec, C, D).value, project_minus(C, D).dminus
+    else:
+        value, witness = pointset_plus(spec, C, D).value, lift_plus(C, D).cplus
+    sys.stdout.write(format_matrix(witness))
+    sys.stdout.write('{"side": "%s", "value": %.17g}\n' % (args.which, value))
     return 0
 
 
@@ -146,7 +148,7 @@ def build_parser():
                            default="algorithm1")
             p.add_argument("--budget", type=int, default=16,
                            help="starts of the degenerate-stratum ascent")
-            p.add_argument("--samples", type=int, default=None,
+            p.add_argument("--samples", type=int, default=20000,
                            help="ambiguity samples in faithful mode (degenerate strata only)")
 
     p = sub.add_parser("dist", help="distance between two PSD matrices")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -365,7 +366,7 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
     CE = C_invhalf @ _tail_rows(r, l, D, Ts)
     Z = CE @ D
     W = Z @ np.swapaxes(CE.conj(), -1, -2)
-    lam, V = np.linalg.eigh(0.5 * (W + np.swapaxes(W.conj(), -1, -2)))
+    lam, V = np.linalg.eigh(_herm(W))
     F, dF = _spectrum_objective(spec, lam[..., ::-1], with_grad=True)
     G = (V * dF[..., ::-1][..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
     grad = 2.0 * (C_invhalf @ G @ Z)[:, i0:, i0:]
@@ -443,19 +444,19 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
 
 
 def _check_counts(**counts):
-    """Each given count (None stands for its default) must be >= 1."""
+    """Each given count must be an integer >= 1 (NumPy integers included)."""
     for name, count in counts.items():
-        if count is not None and count < 1:
-            raise DomainError(f"{name} must be >= 1, got {count}")
+        if not isinstance(count, Integral) or count < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {count}")
 
 
 def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
-       samples=None) -> GdResult:
+       samples=20000) -> GdResult:
     """Geometric distance between two PSD matrices of any size and rank.
 
     `budget` (algorithm1 ascent starts, at least two run) and `samples`
-    (faithful mode; None means 20000) must be >= 1. The lower-rank
-    argument's tol_rank (the first one's at equal ranks) decides the stratum.
+    (faithful mode) must be integers >= 1. The lower-rank argument's
+    tol_rank (the first one's at equal ranks) decides the stratum.
     """
     _check_counts(budget=budget, samples=samples)
     if A.rank > B.rank:
@@ -467,8 +468,7 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     if l == 0:
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
-        fterm[0] = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber,
-                                   20000 if samples is None else samples, seed)
+        fterm[0] = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber, samples, seed)
         mode = "faithfulSampled"
     else:
         fterm[0] = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)
@@ -539,7 +539,7 @@ def _generic_distances(mats, spec: MetricSpec):
     return out, done
 
 
-def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=None):
+def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=20000):
     """Matrix of pairwise distances; diagonal exactly zero.
 
     Each unordered pair is aligned once, its lower-rank matrix (the first

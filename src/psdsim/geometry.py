@@ -41,9 +41,6 @@ class SubspaceGeodesic:
     principal: PrincipalSystem
     evaluator: Callable[[float], np.ndarray] = field(repr=False)
 
-    def sample(self, count=11):
-        return [self.evaluator(t) for t in np.linspace(0.0, 1.0, count)]
-
 
 @dataclass
 class PsdCurve:
@@ -148,8 +145,8 @@ def quasi_geodesic_length(A: PsdMatrix, B: PsdMatrix, k: float) -> float:
     affine-invariant geodesic distance between the endpoint fiber
     representations.
     """
-    if k <= 0.0:
-        raise DomainError("length exponent k must be positive")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"length exponent k must be positive and finite, got {k}")
     geo, C, Dp = _quasi_geodesic_parts(A, B)
     d2 = float(np.sum(geo.principal.theta**2))
     delta2 = float(np.sum(np.log(pencil_eigenvalues(C, Dp)) ** 2))

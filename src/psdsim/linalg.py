@@ -32,8 +32,10 @@ def _as_array(M):
 
 
 def _herm(M):
-    # stacked-safe: transpose only the trailing two axes
-    return 0.5 * (M + np.swapaxes(M.conj(), -1, -2))
+    # stacked-safe: transpose only the trailing two axes; one temporary
+    out = M + np.swapaxes(M.conj(), -1, -2)
+    out *= 0.5
+    return out
 
 
 def check_hermitian(M):

@@ -41,9 +41,7 @@ from .linalg import (
 @dataclass
 class PointSetValue:
     value: float
-    side: str  # "minus" or "plus"
     clamped_spectrum: np.ndarray  # max{1, lambda_k(C^{-1} D11)}, descending
-    witness: np.ndarray | None = None
 
 
 @dataclass
@@ -70,34 +68,23 @@ def _check_pair(C, D):
     return C, D, r, s, (w, V)
 
 
-def pointset_value_from_spectrum(spec: FiberDivergence, mu, side="minus") -> PointSetValue:
+def pointset_value_from_spectrum(spec: FiberDivergence, mu) -> PointSetValue:
     """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11) > 0."""
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         raise DomainError("the two-parameter geodesic family has no shared closed form; "
                           "use alpha_beta_pointset")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0):
-        raise DomainError(f"pencil spectrum must be positive, got {mu.min():g}")
-    value = float(_spectrum_values(spec, mu))
-    return PointSetValue(value, side, np.maximum(1.0, mu))
+    return PointSetValue(float(_spectrum_values(spec, mu)), np.maximum(1.0, mu))
 
 
-def pointset_minus(spec: FiberDivergence, C, D, with_witness=False) -> PointSetValue:
+def pointset_minus(spec: FiberDivergence, C, D) -> PointSetValue:
     """min over X in Omega_minus(D) of divergence(spec, C, X)."""
     C, D, r, s, eigC = _check_pair(C, D)
-    out = pointset_value_from_spectrum(spec, _pencil_from_eig(*eigC, D[:r, :r]), side="minus")
-    if with_witness:
-        out.witness = _project_minus(C, D, r, eigC).dminus
-    return out
+    return pointset_value_from_spectrum(spec, _pencil_from_eig(*eigC, D[:r, :r]))
 
 
-def pointset_plus(spec: FiberDivergence, C, D, with_witness=False) -> PointSetValue:
+def pointset_plus(spec: FiberDivergence, C, D) -> PointSetValue:
     """min over Y in Omega_plus(C) of divergence(spec, Y, D); equals the minus side."""
-    C, D, r, s, eigC = _check_pair(C, D)
-    out = pointset_value_from_spectrum(spec, _pencil_from_eig(*eigC, D[:r, :r]), side="plus")
-    if with_witness:
-        out.witness = _lift_plus(C, D, r, s).cplus
-    return out
+    return pointset_minus(spec, C, D)
 
 
 # --- two-parameter geodesic quadratic programs ------------------------
@@ -151,10 +138,13 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     the two-parameter geodesic family F is the optimal value of the box QP
     in c = log mu, whose derivative is the KKT multiplier
     nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu; it is
-    convex, and the family defined, only for beta > -alpha/r.
+    convex, and the family defined, only for beta > -alpha/r. A spectrum
+    with any mu <= 0 comes from no positive definite pair: DomainError.
     """
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0.0):
+        raise DomainError(f"pencil spectrum must be positive, got {mu.min():g}")
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
-        mu = np.maximum(mu, 1e-300)
         if not geodesic_ab_is_distance_check(spec.alpha, spec.beta, mu.shape[-1]):
             _defined(spec, np.nan)  # the one domain rule, as in divergences._objective
         F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
@@ -205,10 +195,6 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
 def project_minus(C, D) -> ProjectionWitness:
     """The unique point of Omega_minus(D) closest to C, for every family."""
     C, D, r, s, eigC = _check_pair(C, D)
-    return _project_minus(C, D, r, eigC)
-
-
-def _project_minus(C, D, r, eigC):
     D11 = D[:r, :r]
     Chalf = _eig_power(*eigC, 0.5)
     Cih = _eig_power(*eigC, -0.5)
@@ -250,10 +236,6 @@ def whitening_factor(C, D) -> np.ndarray:
 def lift_plus(C, D) -> LiftWitness:
     """The unique point of Omega_plus(C) closest to D, for every family."""
     C, D, r, s, _ = _check_pair(C, D)
-    return _lift_plus(C, D, r, s)
-
-
-def _lift_plus(C, D, r, s):
     Z, lam_raw = _whitening(C, D, r, s)
     lam = np.concatenate([np.minimum(1.0, lam_raw), np.ones(s - r)])
     if np.all(lam_raw >= 1.0):
@@ -271,9 +253,9 @@ _ORACLE_MAX_ITER = 500
 
 
 def _phi_batch(spec, lam):
-    """Phi and dPhi/dlambda for a (B, r) stack of spectra floored at 1e-300;
-    +inf with a zero gradient where the family is undefined."""
-    phi, dphi = _objective(spec, np.maximum(lam, 1e-300), with_grad=True)
+    """Phi and dPhi/dlambda for a (B, r) stack of spectra; +inf with a zero
+    gradient where the family is undefined (lambda <= 0 included)."""
+    phi, dphi = _objective(spec, lam, with_grad=True)
     bad = ~(np.isfinite(phi) & np.isfinite(dphi).all(axis=-1))
     phi[bad], dphi[bad] = np.inf, 0.0
     return phi, dphi

@@ -320,6 +320,20 @@ def test_project_lift_plus_copies_target(tmp_path, capsys):
     assert doc["value"] == 0.0
 
 
+def test_project_lift_prints_the_public_representative_and_value(tmp_path, capsys):
+    # a non-diagonal pair, where neither side's representative is a copy of its input
+    C = np.array([[1.0, 0.3], [0.3, 2.0]])
+    D = np.array([[4.0, 0.5, 0.0], [0.5, 2.0, 0.1], [0.0, 0.1, 1.0]])
+    c, d = write_matrix(tmp_path / "c.psdm", C), write_matrix(tmp_path / "d.psdm", D)
+    value = ps.pointset_minus(ps.FiberDivergence.kl(), C, D).value
+    for which, W in (("minus", ps.project_minus(C, D).dminus),
+                     ("plus", ps.lift_plus(C, D).cplus)):
+        code, out, _ = run_cli(capsys, "project-lift", "--c", c, "--d", d,
+                               "--which", which, "--fiber", "kl")
+        assert code == 0
+        assert out == format_matrix(W) + '{"side": "%s", "value": %.17g}\n' % (which, value)
+
+
 def test_transport_constant_target(tmp_path, capsys):
     rng = np.random.default_rng(5)
     F = rand_frame(rng, 5, 2)

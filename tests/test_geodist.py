@@ -328,20 +328,27 @@ def test_closed_form_matches_faithful_on_generic_pairs():
 
 
 def test_budget_and_samples_below_one_raise_domain_error():
-    # on every path, and for pairwise_gram too; budget=1 and samples=1 stay valid
+    # on every path, and for pairwise_gram too; budget=1 and samples=1 stay
+    # valid, and a count that is not an integer is neither truncated nor None
     A, B = example_pair()
     faithful = ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful")
     generic = ps.PsdMatrix(np.diag([2.0, 1.0, 0.5, 0.0, 0.0]))
     for spec in (GEO_GEO, faithful):
-        for kw in ({"samples": -5}, {"samples": 0}, {"budget": 0}, {"budget": -3}):
+        for kw in ({"samples": -5}, {"samples": 0}, {"budget": 0}, {"budget": -3},
+                   {"budget": 2.5}, {"samples": 1000.5}, {"samples": None}):
             for a, b in ((A, B), (A, generic)):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.gd(a, b, spec, **kw)
             for mats in ([A, B], [A]):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.pairwise_gram(mats, spec, **kw)
+    with pytest.raises(ps.DomainError, match=">= 1"):
+        ps.representation_set(A, B, grid=2.5)
+    with pytest.raises(ps.DomainError, match=">= 1"):
+        ps.gd_degenerate_fiber(np.eye(2), np.diag([1.0, 2.0, 3.0]), 1, FD.kl(), budget=1.5)
     assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
     assert ps.gd(A, B, GEO_GEO, budget=1).stratum_index == 2
+    assert ps.gd(A, B, GEO_GEO, budget=np.int64(1)).stratum_index == 2
 
 
 def test_pairwise_single_input():

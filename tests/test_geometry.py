@@ -196,8 +196,9 @@ def test_length_zero_and_scaling():
                                           ps.range_subspace(B)).theta ** 2))
     f2 = L1**2 - d2
     assert abs(L2**2 - (d2 + 2 * f2)) <= 1e-8
-    with pytest.raises(ps.DomainError):
-        ps.quasi_geodesic_length(A, B, 0.0)
+    for k in (0.0, math.nan, math.inf):
+        with pytest.raises(ps.DomainError):
+            ps.quasi_geodesic_length(A, B, k)
 
 
 def test_length_one_equals_distance_on_dominating_pairs():

@@ -98,6 +98,10 @@ def test_value_from_spectrum_rejects_non_positive_spectra():
     for mu in ([2.0, -1.0], [-3.0, -4.0], [1.5, 0.0]):
         with pytest.raises(ps.DomainError, match="positive"):
             ps.pointset.pointset_value_from_spectrum(FD.kl(), mu)
+    # nor floored, on any gd path: they all map spectra through _spectrum_values
+    for spec, mu in ((FD.kl(), [2.0, -1.0]), (FD.geodesic_ab(1.0, 0.25), [2.0, 0.0])):
+        with pytest.raises(ps.DomainError, match="positive"):
+            ps.pointset._spectrum_values(spec, np.array(mu))
     value = ps.pointset.pointset_value_from_spectrum(FD.kl(), [2.0, 0.5]).value
     assert abs(value - 0.5 * (0.5 + math.log(2.0) - 1.0)) <= 1e-15
 
@@ -455,8 +459,8 @@ def test_phi_batch_masks_exactly_the_rows_outside_the_domain():
     spec = FD.itakura_saito(1.0)
     lam = np.array([[2.0, 0.5], [4.0, 1.0], [1.5, 1.2], [0.2, 0.0], [1.1, 0.3]])
     phi, dphi = ps.pointset._phi_batch(spec, lam)
-    bad = np.array([False, True, False, False, False])
+    bad = np.array([False, True, False, True, False])
     assert np.all(np.isinf(phi[bad])) and np.all(dphi[bad] == 0.0)
     for row, p, d in zip(lam[~bad], phi[~bad], dphi[~bad]):
-        want_p, want_d = ps.divergences._objective(spec, np.maximum(row, 1e-300), with_grad=True)
+        want_p, want_d = ps.divergences._objective(spec, row, with_grad=True)
         assert p == want_p and np.array_equal(d, want_d)
