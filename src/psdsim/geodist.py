@@ -120,7 +120,7 @@ def generalized_hausdorff(f, pairs):
 
 
 # byte budget of one stacked chunk: the (pairs, N, s) padded factors of
-# pairwise_gram and the (rows, n_t, r, r) pencil stack of a faithful draw; a
+# pairwise_gram and the (rows, len(E), r, r) pencil stack of a value table; a
 # chunk holds at least one pair or one row
 _CHUNK_BYTES = 256 * 1024
 
@@ -201,23 +201,6 @@ def _prepare(lefts, rights, n=None):
 # --- ambiguity group sampling -----------------------------------------
 
 
-# singular values this close share one run of the ambiguity group
-_TOL_SIGMA_RUN = 1e-8
-
-
-def _sigma_blocks(sigma, count):
-    """Group the first `count` singular values into runs of equal value."""
-    blocks = []
-    i = 0
-    while i < count:
-        j = i + 1
-        while j < count and abs(sigma[j] - sigma[i]) <= _TOL_SIGMA_RUN:
-            j += 1
-        blocks.append((i, j))
-        i = j
-    return blocks
-
-
 def _random_unitaries(rng, count, k, complex_field):
     """A (count, k, k) stack of random orthogonal/unitary matrices, k >= 1."""
     G = rng.normal(size=(count, k, k))
@@ -229,56 +212,56 @@ def _random_unitaries(rng, count, k, complex_field):
     return Q * d[..., None, :]
 
 
-def _sample_group(rng, k, count, complex_field, n):
-    """A (count, n, n) stack of frames blkdiag(I, T), T in U(k) (O(k) over
-    the reals); element 0 is the identity.
+def _sample_group(rng, k, count, complex_field):
+    """A (count, k, k) stack of tails T in U(k) (O(k) over the reals), identity first.
 
     Over the reals a one-dimensional T alternates in sign, and a
     two-dimensional T runs over evenly spaced rotations (random phase
     offset) and then their reflections; any other T is drawn by random QR.
     """
-    out = np.tile(np.eye(n, dtype=complex if complex_field else float), (count, 1, 1))
-    i0 = n - k
+    out = np.tile(np.eye(k, dtype=complex if complex_field else float), (count, 1, 1))
     if k == 0 or count < 2:
         return out
     if not complex_field and k == 1:
-        out[:, i0, i0] = (-1.0) ** np.arange(count)
+        out[:, 0, 0] = (-1.0) ** np.arange(count)
     elif not complex_field and k == 2:
         ang = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(
             0.0, 2.0 * np.pi, count // 2, endpoint=False)
         c, s = np.cos(ang), np.sin(ang)
         rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        out[1:, i0:, i0:] = np.concatenate([rot, rot * [1.0, -1.0]])[: count - 1]
+        out[1:] = np.concatenate([rot, rot * [1.0, -1.0]])[: count - 1]
     else:
-        out[1:, i0:, i0:] = _random_unitaries(rng, count - 1, k, complex_field)
+        out[1:] = _random_unitaries(rng, count - 1, k, complex_field)
     return out
 
 
-def _frame_draws(C, D, sigma, l, samples, seed):
-    """The principal-basis ambiguity group of (C, D), as 4 draws of frames.
+def _frames(i0, tails, rows):
+    """blkdiag(I_i0, T)[:rows] for a stack of tails T (rows >= i0)."""
+    E = np.zeros((len(tails), rows, i0 + tails.shape[-1]), dtype=tails.dtype)
+    E[:, :i0, :i0] = np.eye(i0)
+    E[:, i0:, i0:] = tails[:, :rows - i0]
+    return E
 
-    Each draw takes a unitary P on each run of equal singular values,
-    shared by the (n_s, r, r) left frames blkdiag(P, S) and the (n_t, s, s)
-    right frames blkdiag(P, T); S acts on the l right-angle rows of the
-    left frame, T on the s - r + l trailing rows of the right frame, and
-    element 0 of each stack has S = I or T = I. The draws hold about
-    `samples` pairs (G, H): n_s = 1 at l = 0, where S is empty, and
-    n_s ~ n_t ~ sqrt(samples / 4) otherwise.
+
+def _frame_draws(C, D, l, samples, seed):
+    """The principal-basis ambiguity group of (C, D), as 4 draws of tails.
+
+    Frames pair as G = blkdiag(P, S) and H = blkdiag(P, T), P on the r - l
+    leading rows of both. P conjugates C^{-1} and (H D H*)_11 alike and
+    cancels from their pencil, so each draw is only an (n_s, l, l) stack of
+    S and an (n_t, k, k) stack of T, k = s - r + l (_frames builds the
+    frames with P = I). The draws hold about `samples` pairs (G, H):
+    n_s = 1 at l = 0, where S is empty, and n_s ~ n_t ~ sqrt(samples / 4)
+    otherwise.
     """
     r, s = C.shape[0], D.shape[0]
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     rng = np.random.default_rng(seed)
-    blocks = _sigma_blocks(sigma, r - l)
     n_s = 1 if l == 0 else max(4, int(math.sqrt(samples / 4)))
     n_t = max(4, samples // (4 * n_s))
     for _ in range(4):
-        P = np.eye(r - l, dtype=complex if complex_field else float)
-        for (i, j) in blocks:
-            P[i:j, i:j] = _random_unitaries(rng, 1, j - i, complex_field)[0]
-        Gs = _sample_group(rng, l, n_s, complex_field, r)
-        Ht = _sample_group(rng, s - r + l, n_t, complex_field, s)
-        Gs[:, : r - l, : r - l] = Ht[:, : r - l, : r - l] = P
-        yield Gs, Ht
+        yield (_sample_group(rng, l, n_s, complex_field),
+               _sample_group(rng, s - r + l, n_t, complex_field))
 
 
 def _congruence(G, M):
@@ -290,62 +273,60 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     """Sampled fiber-representation pairs over the principal-basis ambiguity.
 
     Returns a list of (M_X, M_Y) array pairs: the pairs faithful mode
-    evaluates with `samples=grid` and the same seed. Pairs of one draw
-    share their array objects, so the list can be fed to
-    generalized_hausdorff directly.
+    evaluates with `samples=grid` and the same seed. Only the tails of the
+    frames are sampled; the unitary P on the leading rows, which both frames
+    share, cancels from every pencil, so the set covers the part of the
+    ambiguity that moves a value. Pairs of one draw share their array
+    objects, so the list can be fed to generalized_hausdorff directly.
     """
     _check_counts(grid=grid)
     if A.rank > B.rank:
         A, B = B, A
     prep = _prepare([A], [B])
     C, D = prep.fibers(0)
+    r, s, l = C.shape[0], D.shape[0], int(prep.l[0])
     pairs = []
-    for Gs, Ht in _frame_draws(C, D, prep.sigma[0], int(prep.l[0]), grid, seed):
-        xs, ys = list(_herm(_congruence(Gs, C))), list(_herm(_congruence(Ht, D)))
+    for S, T in _frame_draws(C, D, l, grid, seed):
+        xs = list(_herm(_congruence(_frames(r - l, S, r), C)))
+        ys = list(_herm(_congruence(_frames(r - l, T, s), D)))
         pairs.extend((x, y) for x in xs for y in ys)
     return pairs
 
 
-def _faithful_fiber(C, D, sigma, l, spec: FiberDivergence, samples, seed):
+def _conjugated_block_values(spec, F, D, E):
+    """(len(F), len(E)) table of the pencil values of factors F against
+    Y = E D E*, for stacks of factors F and of right-frame rows E.
+
+    Chunks of factors, each chunk's (rows, len(E), r, r) stack within
+    _CHUNK_BYTES, go through pencil_spectra and the value map as one stack;
+    the table is the same for any chunk size.
+    """
+    Y = _congruence(E, D)
+    rows = max(1, _CHUNK_BYTES // Y.nbytes)
+    return np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows], Y))
+                           for i in range(0, len(F), rows)])
+
+
+def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
     """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
 
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
-    pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11.
-    Each of the 4 draws is an (n_s, n_t) table of pencil values: chunks of
-    left frames, each chunk's (rows, n_t, r, r) stack within _CHUNK_BYTES,
-    go through pencil_spectra and the value map as one stack. The table is
-    the same for any chunk size.
+    pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
+    = E D E* with E = H[:r]. Each of the 4 draws is one (n_s, n_t) table of
+    pencil values (_conjugated_block_values).
     """
     r = C.shape[0]
     Cih = _inv_half(C)
     d1 = d2 = -np.inf
-    for Gs, Ht in _frame_draws(C, D, sigma, l, samples, seed):
-        F = Cih @ np.swapaxes(Gs.conj(), -1, -2)
-        Y11 = _congruence(Ht[:, :r], D)
-        rows = max(1, _CHUNK_BYTES // Y11.nbytes)
-        vals = np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows], Y11))
-                               for i in range(0, len(F), rows)])
+    for S, T in _frame_draws(C, D, l, samples, seed):
+        F = Cih @ np.swapaxes(_frames(r - l, S, r).conj(), -1, -2)
+        vals = _conjugated_block_values(spec, F, D, _frames(r - l, T, r))
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))
     return max(d1, d2)
 
 
 # --- degenerate-stratum optimizer -------------------------------------
-
-
-def _tail_rows(r, l, D, Ts):
-    """blkdiag(I, T)[:r] for a stack of tails T: the right-frame rows D11 sees."""
-    i0 = r - l
-    E = np.zeros((Ts.shape[0], r, D.shape[0]), dtype=np.result_type(D, Ts))
-    E[:, :i0, :i0] = np.eye(i0)
-    E[:, i0:, i0:] = Ts[:, :l]
-    return E
-
-
-def _conjugated_block_values(spec, C_invhalf, D, l, Ts):
-    """Fiber values for a stack of tail unitaries T conjugating D."""
-    E = _tail_rows(C_invhalf.shape[0], l, D, Ts)
-    return _spectrum_values(spec, pencil_spectra(C_invhalf, _congruence(E, D)))
 
 
 # iteration cap of the degenerate-stratum ascent
@@ -363,7 +344,7 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
     """
     r = C_invhalf.shape[0]
     i0 = r - l
-    CE = C_invhalf @ _tail_rows(r, l, D, Ts)
+    CE = C_invhalf @ _frames(i0, Ts, r)
     Z = CE @ D
     W = Z @ np.swapaxes(CE.conj(), -1, -2)
     lam, V = np.linalg.eigh(_herm(W))
@@ -429,12 +410,12 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
     Cih = _inv_half(C)
     rng = np.random.default_rng(seed)
     if k == 1 and not complex_field:
-        signs = _sample_group(rng, 1, 2, False, 1)
-        return float(_conjugated_block_values(spec, Cih, D, l, signs).max())
+        signs = _frames(r - l, _sample_group(rng, 1, 2, False), r)
+        return float(_conjugated_block_values(spec, Cih[None], D, signs)[0].max())
 
     # coarse sampling pass to seed the local maximizations
-    Ts = _sample_group(rng, k, 512, complex_field, k)
-    coarse = _conjugated_block_values(spec, Cih, D, l, Ts)
+    Ts = _sample_group(rng, k, 512, complex_field)
+    coarse = _conjugated_block_values(spec, Cih[None], D, _frames(r - l, Ts, r))[0]
     starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
     final = _fiber_values(spec, _ascend(spec, Cih, D, l, starts))
     return float(max(coarse.max(), final.max()))
@@ -444,9 +425,9 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
 
 
 def _check_counts(**counts):
-    """Each given count must be an integer >= 1 (NumPy integers included)."""
+    """Each given count must be an integer >= 1: NumPy integers pass, bools do not."""
     for name, count in counts.items():
-        if not isinstance(count, Integral) or count < 1:
+        if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {count}")
 
 
@@ -468,7 +449,7 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     if l == 0:
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
-        fterm[0] = _faithful_fiber(*prep.fibers(0), prep.sigma[0], l, spec.fiber, samples, seed)
+        fterm[0] = _faithful_fiber(*prep.fibers(0), l, spec.fiber, samples, seed)
         mode = "faithfulSampled"
     else:
         fterm[0] = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)

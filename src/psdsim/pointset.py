@@ -69,7 +69,10 @@ def _check_pair(C, D):
 
 
 def pointset_value_from_spectrum(spec: FiberDivergence, mu) -> PointSetValue:
-    """Closed-form point-set value from the pencil spectrum mu = lambda(C^{-1}D11) > 0."""
+    """Closed-form point-set value from one pencil spectrum mu = lambda(C^{-1}D11) > 0."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1:
+        raise DomainError(f"pencil spectrum must be one-dimensional, got shape {mu.shape}")
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         raise DomainError("the two-parameter geodesic family has no shared closed form; "
                           "use alpha_beta_pointset")
@@ -172,13 +175,14 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     t_k >= log lambda_k(C^{-1}D11); plus side: the same quadratic in s
     variables, with the trailing s - r variables unconstrained. Returns the
     square root of the optimal value. plus <= minus always, with equality
-    iff beta = 0 or r = s.
+    iff beta = 0 or r = s. Each side needs alpha > 0 and beta > -alpha/m, m its variable count.
     """
     C, D, r, s, eigC = _check_pair(C, D)
-    if not geodesic_ab_is_distance_check(alpha, beta, s):
-        raise DomainError("parameter region requires alpha > 0 and beta > -alpha/s")
     if side not in ("minus", "plus"):
         raise DomainError(f"unknown side {side!r}")
+    m = r if side == "minus" else s
+    if not geodesic_ab_is_distance_check(alpha, beta, m):
+        raise DomainError(f"parameter region requires alpha > 0 and beta > -alpha/{m}")
     c = np.log(_pencil_from_eig(*eigC, D[:r, :r]))
     if side == "minus":
         beta_eff = beta

@@ -330,20 +330,23 @@ def test_closed_form_matches_faithful_on_generic_pairs():
 def test_budget_and_samples_below_one_raise_domain_error():
     # on every path, and for pairwise_gram too; budget=1 and samples=1 stay
     # valid, and a count that is not an integer is neither truncated nor None
+    # nor a bool
     A, B = example_pair()
     faithful = ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful")
     generic = ps.PsdMatrix(np.diag([2.0, 1.0, 0.5, 0.0, 0.0]))
     for spec in (GEO_GEO, faithful):
         for kw in ({"samples": -5}, {"samples": 0}, {"budget": 0}, {"budget": -3},
-                   {"budget": 2.5}, {"samples": 1000.5}, {"samples": None}):
+                   {"budget": 2.5}, {"samples": 1000.5}, {"samples": None},
+                   {"budget": True}, {"samples": True}):
             for a, b in ((A, B), (A, generic)):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.gd(a, b, spec, **kw)
             for mats in ([A, B], [A]):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.pairwise_gram(mats, spec, **kw)
-    with pytest.raises(ps.DomainError, match=">= 1"):
-        ps.representation_set(A, B, grid=2.5)
+    for grid in (2.5, True):
+        with pytest.raises(ps.DomainError, match=">= 1"):
+            ps.representation_set(A, B, grid=grid)
     with pytest.raises(ps.DomainError, match=">= 1"):
         ps.gd_degenerate_fiber(np.eye(2), np.diag([1.0, 2.0, 3.0]), 1, FD.kl(), budget=1.5)
     assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
@@ -535,13 +538,15 @@ def test_two_parameter_degenerate_fiber_applies_bound():
 # --- degenerate-stratum ascent -------------------------------------------
 
 
-def _degenerate_pair(rng, n, r, s, l, complex_field=False):
-    """Ranks r <= s in F^n whose ranges have exactly l right principal angles."""
+def _degenerate_pair(rng, n, r, s, l, complex_field=False, theta=None):
+    """Ranks r <= s in F^n whose ranges have exactly l right principal angles
+    (the others are `theta`, by default drawn from [0.2, 1.2])."""
     G = rng.normal(size=(n, n))
     if complex_field:
         G = G + 1j * rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(G)
-    theta = rng.uniform(0.2, 1.2, size=r - l)
+    if theta is None:
+        theta = rng.uniform(0.2, 1.2, size=r - l)
     tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
     frames = (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]]))
     mats = []
@@ -675,6 +680,39 @@ def test_faithful_degenerate_value_is_the_representation_set_value(pair, monkeyp
                 ps.representation_set(A, B, grid=samples, seed=seed))
             assert res.stratum_index == 2
             assert abs(res.fiber_term - want) <= 1e-12 * want, (pair, fiber.kind, samples)
+
+
+@pytest.mark.parametrize("pair", ["real_run", "complex"])
+def test_shared_leading_unitary_cancels_from_the_hausdorff_value(pair):
+    # a unitary P on the r - l leading rows of both frames conjugates both
+    # sides of every pencil alike, so it cannot move a value, even on a run
+    # of equal principal cosines (real_run: cosines cos 0.5, cos 0.5, cos 0.9)
+    rng = np.random.default_rng(29)
+    if pair == "real_run":
+        A, B = _degenerate_pair(rng, 10, 4, 5, 1, theta=np.array([0.5, 0.5, 0.9]))
+    else:
+        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+    r, l = A.rank, ps.gd(A, B, GEO_GEO, budget=1).stratum_index
+    G = rng.normal(size=(r - l, r - l))
+    P, _ = np.linalg.qr(G + 1j * rng.normal(size=G.shape) if pair == "complex" else G)
+    pairs = ps.representation_set(A, B, grid=300, seed=1)
+    moved = {}
+
+    def conjugated(M):  # one new object per old one keeps the pairing
+        if id(M) not in moved:
+            Q = np.eye(len(M), dtype=P.dtype)
+            Q[: r - l, : r - l] = P
+            moved[id(M)] = Q @ M @ Q.conj().T
+        return moved[id(M)]
+
+    rotated = [(conjugated(X), conjugated(Y)) for X, Y in pairs]
+    assert l >= 1 and len(moved) == len({id(M) for xy in pairs for M in xy})
+    for fiber in (FD.geodesic(), FD.kl()):
+        def f(X, Y):
+            return ps.pointset_minus(fiber, X, Y).value
+
+        want = ps.generalized_hausdorff(f, pairs)
+        assert abs(ps.generalized_hausdorff(f, rotated) - want) <= 1e-12 * want, fiber.kind
 
 
 def test_real_sup_is_at_most_the_complex_sup():

@@ -106,6 +106,14 @@ def test_value_from_spectrum_rejects_non_positive_spectra():
     assert abs(value - 0.5 * (0.5 + math.log(2.0) - 1.0)) <= 1e-15
 
 
+def test_value_from_spectrum_takes_one_spectrum():
+    # it returns one PointSetValue, so a stack of spectra (or a scalar) is
+    # rejected by shape rather than by a failed float conversion
+    for mu in ([[2.0, 1.0], [3.0, 1.0]], 2.0):
+        with pytest.raises(ps.DomainError, match="shape"):
+            ps.pointset.pointset_value_from_spectrum(FD.kl(), mu)
+
+
 def test_two_parameter_family_needs_dedicated_path():
     rng = np.random.default_rng(4)
     C, D = rand_pair(rng, 2, 3)
@@ -161,11 +169,35 @@ def test_qp_strict_gap_for_coupled_unequal_ranks():
 
 
 def test_qp_parameter_region():
+    # each side's program is convex for beta > -alpha/m over its m variables:
+    # m = r = 1 on the minus side, m = s = 2 on the plus side
     C, D = np.eye(1), np.eye(2)
     with pytest.raises(ps.DomainError):
         ps.alpha_beta_pointset(C, D, -1.0, 0.0)
     with pytest.raises(ps.DomainError):
-        ps.alpha_beta_pointset(C, D, 1.0, -0.6)
+        ps.alpha_beta_pointset(C, D, 1.0, -0.6, side="plus")
+    with pytest.raises(ps.DomainError):
+        ps.alpha_beta_pointset(C, D, 1.0, -1.0)
+
+
+def test_qp_minus_side_has_the_region_of_gd():
+    # for -alpha/r < beta <= -alpha/s the r-variable minus program is
+    # defined, and equals gd's fiber term and the oracle; the s-variable plus
+    # program is not convex there
+    rng = np.random.default_rng(22)
+    pairs = [(np.diag([1.0, 2.0]), np.diag([3.0, 0.5, 1.0, 2.0])),
+             (rand_pd(rng, 2), rand_pd(rng, 4, 0.3, 3.0))]
+    for C, D in pairs:
+        A = ps.PsdMatrix(np.pad(C, (0, 2)))
+        for alpha, beta in ((1.0, -0.3), (1.0, -0.25), (2.0, -0.9), (0.5, -0.2)):
+            spec = FD.geodesic_ab(alpha, beta)
+            want = ps.alpha_beta_pointset(C, D, alpha, beta, side="minus")
+            got = ps.gd(A, ps.PsdMatrix(D), ps.MetricSpec(ps.GrassmannMetric.GEODESIC, spec))
+            assert got.stratum_index == 0
+            assert abs(got.fiber_term - want) <= 1e-12 * want, (alpha, beta)
+            assert abs(ps.oracle_min_over_omega(spec, C, D, side="minus") - want) <= 1e-8
+            with pytest.raises(ps.DomainError, match="alpha/4"):
+                ps.alpha_beta_pointset(C, D, alpha, beta, side="plus")
 
 
 def test_qp_prefix_scan_matches_enumeration():
