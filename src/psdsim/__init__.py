@@ -15,7 +15,6 @@ from .linalg import (
     principal_system,
     psd_power,
     range_subspace,
-    stratum_index,
 )
 from .grassmann import GrassmannMetric, grassmann_distance
 from .divergences import (

@@ -9,6 +9,7 @@ two-parameter family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Real
 
@@ -42,6 +43,8 @@ class FiberDivergence:
         if self.kind not in _FAMILIES:
             raise DomainError(f"unknown divergence family {self.kind!r}")
         a, b = self.alpha, self.beta
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"divergence parameters must be finite, got {a}, {b}")
         if self.kind == AB:
             if a == 0.0 or b == 0.0 or a + b == 0.0:
                 raise DomainError("alpha-beta log-det needs alpha, beta, alpha+beta nonzero")
@@ -215,8 +218,8 @@ def divergence(spec: FiberDivergence, X, Y) -> float:
 
 
 def geodesic_ab_is_distance_check(alpha, beta, m) -> bool:
-    """Parameter region where the two-parameter geodesic form is a distance."""
-    return alpha > 0.0 and beta > -alpha / m
+    """Where the two-parameter geodesic form is a distance: finite alpha > 0, beta > -alpha/m."""
+    return math.isfinite(alpha) and math.isfinite(beta) and alpha > 0.0 and beta > -alpha / m
 
 
 # --- spec string grammar ---------------------------------------------

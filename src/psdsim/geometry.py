@@ -4,7 +4,9 @@ The base curve is always the Grassmann geodesic between two subspaces,
 lifted horizontally to the frame bundle in closed form from principal
 vectors. A PSD matrix is transported by carrying its fiber representation
 along the lifted frame; a quasi-geodesic pairs the base geodesic with the
-affine-invariant geodesic between the endpoint fiber representations.
+affine-invariant geodesic between the endpoint fiber representations. A
+quasi-geodesic aligns its pair as `gd` does (`geodist._prepare`) and rejects
+exactly the pairs that `gd` puts on a degenerate stratum, l >= 1.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .geodist import _prepare
 from .linalg import (
     PrincipalSystem,
     PsdMatrix,
@@ -24,12 +27,10 @@ from .linalg import (
     _herm,
     check_pd,
     fiber_representation,
-    pencil_eigenvalues,
     principal_system,
-    range_subspace,
 )
 
-RIGHT_ANGLE_SLACK = 1e-8
+RIGHT_ANGLE_SLACK = 1e-8  # subspace_geodesic's: a bare Subspace has no tol_rank
 
 
 @dataclass
@@ -53,13 +54,21 @@ class PsdCurve:
         return [self.evaluator(t) for t in np.linspace(0.0, 1.0, count)]
 
 
-def subspace_geodesic(U: Subspace, V: Subspace, allow_completion=False) -> SubspaceGeodesic:
-    """Horizontal lift c(t) of the Grassmann geodesic from U to V.
+def _horizontal_lift(a, b, theta):
+    """c(t) = a cos(theta t) + W sin(theta t) for aligned frames a, b at angles
+    theta, with W the normalized component of b orthogonal to a."""
+    sin_t = np.sin(theta)
+    W = np.zeros_like(a)
+    moving = sin_t > 1e-12
+    if np.any(moving):
+        W[:, moving] = (b[:, moving] - a[:, moving] * np.cos(theta[moving])) / sin_t[moving]
+    return lambda t: a * np.cos(theta * t) + W * np.sin(theta * t)
 
-    c(t) columns are a_i cos(theta_i t) + w_i sin(theta_i t) with (a_i, b_i)
-    aligned principal vectors and w_i the normalized component of b_i
-    orthogonal to a_i. Unique only when every principal angle is below a
-    right angle; right-angle pairs are rejected unless allow_completion.
+
+def subspace_geodesic(U: Subspace, V: Subspace, allow_completion=False) -> SubspaceGeodesic:
+    """Horizontal lift c(t) of the Grassmann geodesic from U to V, through
+    their principal vectors. Unique only when every principal angle is below
+    a right angle; right-angle pairs are rejected unless allow_completion.
     """
     if U.r != V.r:
         raise DomainError(f"subspace dimensions differ: {U.r} vs {V.r}")
@@ -70,18 +79,8 @@ def subspace_geodesic(U: Subspace, V: Subspace, allow_completion=False) -> Subsp
             "right principal angle: base geodesic not unique "
             "(pass allow_completion=True to pick one)"
         )
-    a = ps.left_frame
-    b = ps.right_frame
-    sin_t = np.sin(theta)
-    W = np.zeros_like(a)
-    moving = sin_t > 1e-12
-    if np.any(moving):
-        W[:, moving] = (b[:, moving] - a[:, moving] * np.cos(theta[moving])) / sin_t[moving]
-
-    def evaluate(t):
-        return a * np.cos(theta * t) + W * np.sin(theta * t)
-
-    return SubspaceGeodesic(start=U, end=V, principal=ps, evaluator=evaluate)
+    return SubspaceGeodesic(start=U, end=V, principal=ps,
+                            evaluator=_horizontal_lift(ps.left_frame, ps.right_frame, theta))
 
 
 def parallel_transport(A: PsdMatrix, geo: SubspaceGeodesic, t: float) -> PsdMatrix:
@@ -106,15 +105,16 @@ def transport_curve(A: PsdMatrix, geo: SubspaceGeodesic) -> PsdCurve:
     return PsdCurve(evaluator=evaluate, kind="parallelTransport")
 
 
-def _quasi_geodesic_parts(A: PsdMatrix, B: PsdMatrix):
+def _aligned_pair(A: PsdMatrix, B: PsdMatrix):
+    """gd's alignment of an equal-rank pair; rejected where gd finds l >= 1."""
     if A.n != B.n:
         raise DomainError(f"ambient mismatch: {A.n} vs {B.n}")
     if A.rank != B.rank:
         raise DomainError(f"quasi-geodesic needs equal rank, got {A.rank} vs {B.rank}")
-    geo = subspace_geodesic(range_subspace(A), range_subspace(B))
-    C = fiber_representation(A, geo.evaluator(0.0))
-    Dp = fiber_representation(B, geo.evaluator(1.0))
-    return geo, C, Dp
+    prep = _prepare([A], [B])
+    if prep.l[0]:
+        raise DomainError(f"right principal angle (l = {prep.l[0]}): quasi-geodesic not unique")
+    return prep
 
 
 def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float) -> PsdMatrix:
@@ -123,17 +123,20 @@ def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float) -> PsdMatrix:
 
 
 def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix) -> PsdCurve:
-    """quasi_geodesic as a curve; C and C^{-1/2} D' C^{-1/2} are decomposed once."""
-    geo, C, Dp = _quasi_geodesic_parts(A, B)
-    _, w, V = check_pd(C, name="fiber representation")
-    Chalf = _eig_power(w, V, 0.5)
-    Cih = _eig_power(w, V, -0.5)
-    _, wi, Vi = check_pd(_herm(Cih @ Dp @ Cih), name="fiber pencil")
+    """quasi_geodesic as a curve; C = P* diag(wA) P comes factored from the
+    alignment, so only C^{-1/2} D' C^{-1/2} is decomposed, once."""
+    prep = _aligned_pair(A, B)
+    P, Qh = prep.P[0], prep.Qh[0]
+    u = _horizontal_lift(A.compact_factors()[0] @ P, B.compact_factors()[0] @ Qh.conj().T,
+                         prep.theta[0])
+    Chalf = _eig_power(prep.wA[0], P.conj().T, 0.5)
+    Cih = _eig_power(prep.wA[0], P.conj().T, -0.5)
+    _, wi, Vi = check_pd(_herm(Cih @ prep.fibers(0)[1] @ Cih), name="fiber pencil")
 
     def evaluate(t):
         S = _herm(Chalf @ _eig_power(wi, Vi, float(t)) @ Chalf)
-        u = geo.evaluator(float(t))
-        return PsdMatrix(_herm(u @ S @ u.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
+        c = u(float(t))
+        return PsdMatrix(_herm(c @ S @ c.conj().T), tol_rank=A.tol_rank, tol_psd=A.tol_psd)
 
     return PsdCurve(evaluator=evaluate, kind="quasiGeodesic")
 
@@ -143,11 +146,9 @@ def quasi_geodesic_length(A: PsdMatrix, B: PsdMatrix, k: float) -> float:
 
     d is the Grassmann geodesic distance between the ranges and delta the
     affine-invariant geodesic distance between the endpoint fiber
-    representations.
+    representations, read off gd's principal angles and pencil spectrum.
     """
     if not 0.0 < k < math.inf:
         raise DomainError(f"length exponent k must be positive and finite, got {k}")
-    geo, C, Dp = _quasi_geodesic_parts(A, B)
-    d2 = float(np.sum(geo.principal.theta**2))
-    delta2 = float(np.sum(np.log(pencil_eigenvalues(C, Dp)) ** 2))
-    return math.sqrt(d2 + k * delta2)
+    prep = _aligned_pair(A, B)
+    return math.sqrt(np.sum(prep.theta[0] ** 2) + k * np.sum(np.log(prep.mu[0]) ** 2))

@@ -299,11 +299,6 @@ def principal_system(U: Subspace, V: Subspace) -> PrincipalSystem:
     )
 
 
-def stratum_index(ps: PrincipalSystem) -> int:
-    """l = dim(U intersect V-perp) = number of singular values <= TOL_RANK."""
-    return int(np.count_nonzero(ps.sigma <= TOL_RANK))
-
-
 def _descend(fg, retract, X, max_iter):
     """Batched quasi-Newton descent of f from every start in the stack X.
 

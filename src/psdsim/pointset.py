@@ -73,6 +73,8 @@ def pointset_value_from_spectrum(spec: FiberDivergence, mu) -> PointSetValue:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1:
         raise DomainError(f"pencil spectrum must be one-dimensional, got shape {mu.shape}")
+    if mu.size == 0:
+        raise DomainError("empty (rank-0) pencil spectrum")
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         raise DomainError("the two-parameter geodesic family has no shared closed form; "
                           "use alpha_beta_pointset")
@@ -182,7 +184,7 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
         raise DomainError(f"unknown side {side!r}")
     m = r if side == "minus" else s
     if not geodesic_ab_is_distance_check(alpha, beta, m):
-        raise DomainError(f"parameter region requires alpha > 0 and beta > -alpha/{m}")
+        raise DomainError(f"parameter region requires finite alpha > 0 and beta > -alpha/{m}")
     c = np.log(_pencil_from_eig(*eigC, D[:r, :r]))
     if side == "minus":
         beta_eff = beta

@@ -173,6 +173,16 @@ def test_two_parameter_fiber_outside_its_region_exits_3(tmp_path, capsys):
         assert code == 3 and out == "" and "outside the region beta > -alpha/m" in err, fiber
 
 
+def test_non_finite_divergence_parameter_exits_2(tmp_path, capsys):
+    # r = 2 < s = 4, so an accepted parameter would reach the closed form's
+    # quadratic program; it must be refused while parsing instead
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 0.5, 1.0, 2.0]))
+    for fiber in ("geoab:1,inf", "geoab:inf,1"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", fiber)
+        assert code == 2 and out == "" and "must be finite" in err, fiber
+
+
 def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
     b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)

@@ -161,6 +161,16 @@ def test_parameter_validation():
         FD.beta_log_det(-1.0)
     with pytest.raises(ps.DomainError):
         FD.geodesic_ab(-1.0, 0.0)
+    # every family needs finite parameters
+    for alpha, beta in ((1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (-math.inf, 0.0)):
+        for build in (FD.alpha_beta, FD.geodesic_ab):
+            with pytest.raises(ps.DomainError, match="finite"):
+                build(alpha, beta)
+    for build in (FD.stein, FD.burg, FD.itakura_saito):
+        with pytest.raises(ps.DomainError, match="finite"):
+            build(math.inf)
+    with pytest.raises(ps.DomainError, match="finite"):
+        FD.beta_log_det(math.inf)
 
 
 def test_preset_equivalences():
@@ -195,7 +205,8 @@ def test_grammar_suffixes():
 
 
 def test_grammar_errors():
-    for bad in ("nope", "ab:1", "renyi", "kl:3", "geo+weird", "ab:x,y", "geoab:1,0.25+clamp=z"):
+    for bad in ("nope", "ab:1", "renyi", "kl:3", "geo+weird", "ab:x,y", "geoab:1,0.25+clamp=z",
+                "geoab:1,inf", "geoab:inf,1", "geoab:1,nan", "stein:inf"):
         with pytest.raises(ps.ParseError):
             ps.parse_divergence(bad)
 

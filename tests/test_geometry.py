@@ -226,17 +226,70 @@ def test_transport_then_compare_matches_distance():
 
 
 def test_curves_factor_their_fixed_matrices_once(monkeypatch):
-    # a quasi-geodesic decomposes C and C^-1/2 D' C^-1/2 once per curve and
-    # each point's PsdMatrix once; a transport curve represents A once
+    # a quasi-geodesic decomposes C^-1/2 D' C^-1/2 once per curve (C comes
+    # factored from the alignment) and each point's PsdMatrix once; a
+    # transport curve represents A once
     rng = np.random.default_rng(15)
     A, B = rand_psd_rank(rng, 6, 3), rand_psd_rank(rng, 6, 3)
     geo = ps.subspace_geodesic(ps.range_subspace(A), ps.range_subspace(B))
     eig = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
     ps.quasi_geodesic(A, B, 0.4)
-    assert eig["n"] == 3
+    assert eig["n"] == 2
     eig["n"] = 0
     assert len(ps.quasi_geodesic_curve(A, B).sample(11)) == 11
-    assert eig["n"] == 13
+    assert eig["n"] == 12
     fibers = count_calls(monkeypatch, ps.geometry, "fiber_representation")
     ps.transport_curve(A, geo).sample(11)
     assert fibers["n"] == 1
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_length_is_the_summed_speed_of_the_quasi_geodesic(field):
+    # claim (1) off the dominating pairs: on generic equal-rank pairs the
+    # quasi-geodesic's steps, measured as base angles between consecutive
+    # ranges and the affine-invariant fiber step in the horizontal lift's
+    # frames (those of the ranges' subspace geodesic), add up to
+    # quasi_geodesic_length
+    rng = np.random.default_rng(16)
+    unit = 1j if field == "complex" else 0.0
+
+    def psd(n, r):
+        F = np.linalg.qr(rng.normal(size=(n, r)) + unit * rng.normal(size=(n, r)))[0]
+        return ps.PsdMatrix((F * rng.uniform(0.3, 3.0, r)) @ F.conj().T)
+
+    for _ in range(10):
+        n = int(rng.integers(3, 8))
+        r = int(rng.integers(1, n))
+        A, B = psd(n, r), psd(n, r)
+        assert A.field == field
+        lift = ps.subspace_geodesic(ps.range_subspace(A), ps.range_subspace(B)).evaluator
+        ts = np.linspace(0.0, 1.0, 9)
+        points = ps.quasi_geodesic_curve(A, B).sample(9)
+        fibers = [ps.fiber_representation(P, lift(t)) for P, t in zip(points, ts)]
+        for k in (0.5, 1.0, 3.0):
+            total = 0.0
+            for i in range(8):
+                d = ps.principal_system(ps.range_subspace(points[i]),
+                                        ps.range_subspace(points[i + 1])).theta
+                delta = np.log(ps.pencil_eigenvalues(fibers[i], fibers[i + 1]))
+                total += math.sqrt(np.sum(d**2) + k * np.sum(delta**2))
+            L = ps.quasi_geodesic_length(A, B, k)
+            assert abs(total - L) <= 1e-10 * L
+
+
+def test_quasi_geodesic_stratum_is_the_stratum_of_gd():
+    # ranges with principal cosines (1, 1e-9): generic at the default
+    # tol_rank, degenerate (l = 1) at tol_rank 1e-6
+    b = np.array([0.0, 1e-9, math.sqrt(1.0 - 1e-18)])
+    A_entries = np.diag([1.0, 2.0, 0.0])
+    B_entries = np.diag([3.0, 0.0, 0.0]) + 2.0 * np.outer(b, b)
+    spec = ps.MetricSpec(GM.GEODESIC, FD.geodesic())
+    A, B = ps.PsdMatrix(A_entries), ps.PsdMatrix(B_entries)
+    assert ps.gd(A, B, spec).stratum_index == 0
+    assert math.isfinite(ps.quasi_geodesic_length(A, B, 1.0))
+    A, B = ps.PsdMatrix(A_entries, tol_rank=1e-6), ps.PsdMatrix(B_entries, tol_rank=1e-6)
+    assert ps.gd(A, B, spec).stratum_index == 1
+    with pytest.raises(ps.DomainError, match="right principal angle"):
+        ps.quasi_geodesic_length(A, B, 1.0)
+    with pytest.raises(ps.DomainError, match="right principal angle"):
+        ps.quasi_geodesic_curve(A, B)

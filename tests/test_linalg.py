@@ -267,19 +267,6 @@ def test_principal_angles_invariant_under_column_permutation():
     assert np.all(np.diff(a) >= -1e-12)  # ascending
 
 
-def test_stratum_index():
-    rng = np.random.default_rng(10)
-    F = rand_frame(rng, 5, 2)
-    same = ps.principal_system(ps.Subspace(F), ps.Subspace(F))
-    assert ps.stratum_index(same) == 0
-    E = np.eye(4)
-    perp = ps.principal_system(ps.Subspace(E[:, :2]), ps.Subspace(E[:, 2:]))
-    assert ps.stratum_index(perp) == 2
-    A, B = example_pair()
-    sys = ps.principal_system(ps.range_subspace(A), ps.range_subspace(B))
-    assert ps.stratum_index(sys) == 2
-
-
 def test_fiber_representation_identity_on_range():
     rng = np.random.default_rng(11)
     F = rand_frame(rng, 5, 3)

@@ -108,10 +108,13 @@ def test_value_from_spectrum_rejects_non_positive_spectra():
 
 def test_value_from_spectrum_takes_one_spectrum():
     # it returns one PointSetValue, so a stack of spectra (or a scalar) is
-    # rejected by shape rather than by a failed float conversion
+    # rejected by shape rather than by a failed float conversion, and an
+    # empty spectrum (rank 0) is rejected like every zero-rank input
     for mu in ([[2.0, 1.0], [3.0, 1.0]], 2.0):
         with pytest.raises(ps.DomainError, match="shape"):
             ps.pointset.pointset_value_from_spectrum(FD.kl(), mu)
+    with pytest.raises(ps.DomainError, match="rank-0"):
+        ps.pointset.pointset_value_from_spectrum(FD.kl(), [])
 
 
 def test_two_parameter_family_needs_dedicated_path():
@@ -178,6 +181,10 @@ def test_qp_parameter_region():
         ps.alpha_beta_pointset(C, D, 1.0, -0.6, side="plus")
     with pytest.raises(ps.DomainError):
         ps.alpha_beta_pointset(C, D, 1.0, -1.0)
+    for alpha, beta in ((1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)):
+        for side in ("minus", "plus"):
+            with pytest.raises(ps.DomainError, match="finite"):
+                ps.alpha_beta_pointset(C, D, alpha, beta, side=side)
 
 
 def test_qp_minus_side_has_the_region_of_gd():
