@@ -112,12 +112,7 @@ def cmd_project_lift(args):
 
 def cmd_transport(args):
     A = _load_psd(args.a, args)
-    target = Subspace(_read_matrix(args.target, args))
-    if target.r != A.rank:
-        raise DomainError(
-            f"target frame dimension {target.r} does not match rank(A) = {A.rank}")
-    geo = subspace_geodesic(range_subspace(A), target,
-                            allow_completion=args.force_completion)
+    geo = subspace_geodesic(range_subspace(A), Subspace(_read_matrix(args.target, args)))
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
     curve = transport_curve(A, geo)
@@ -137,7 +132,8 @@ def build_parser():
     def common(p, psd_inputs=True, with_metric=True):
         """Tolerances for PsdMatrix inputs, the metric for distance commands."""
         if psd_inputs:
-            p.add_argument("--tol", type=float, default=TOL_RANK, help="rank tolerance")
+            p.add_argument("--tol", type=float, default=TOL_RANK,
+                           help="rank tolerance; also decides right principal angles")
             p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
         p.add_argument("--field", choices=["real", "complex"], default="real")
         if with_metric:
@@ -176,8 +172,6 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--target", required=True, help="subspace frame file")
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--force-completion", action="store_true",
-                   help="allow right-angle base pairs by picking one completion")
     common(p, with_metric=False)
     p.set_defaults(func=cmd_transport)
 

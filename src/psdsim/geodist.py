@@ -30,6 +30,7 @@ from .linalg import (
     _herm,
     _inv_half,
     _principal_angles,
+    _right_angles,
     check_hermitian,
     pencil_spectra,
 )
@@ -158,7 +159,7 @@ class _Prepared:
         K^{-1}: the reverse pencil spectrum is 1/mu. `tol` holds the new
         left arguments' tol_rank, which decide the reverse strata.
         """
-        return replace(self, l=np.count_nonzero(self.sigma <= tol[:, None], axis=-1),
+        return replace(self, l=_right_angles(self.sigma, tol),
                        mu=1.0 / self.mu[:, ::-1],
                        wA=self.wB, P=np.swapaxes(self.Qh.conj(), -1, -2),
                        wB=self.wA, Qh=np.swapaxes(self.P.conj(), -1, -2))
@@ -193,9 +194,8 @@ def _prepare(lefts, rights, n=None):
     P, sigma, Qh, theta = _principal_angles(UA, UB)
     K = (P @ Qh[:, :r]) * np.sqrt(wB)[:, None, :] / np.sqrt(wA)[:, :, None]
     mu = np.linalg.svd(K, compute_uv=False) ** 2
-    tol = np.array([X.tol_rank for X in lefts])
-    return _Prepared(sigma=sigma, theta=theta, l=np.count_nonzero(sigma <= tol[:, None], axis=-1),
-                     mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
+    l = _right_angles(sigma, [X.tol_rank for X in lefts])
+    return _Prepared(sigma=sigma, theta=theta, l=l, mu=mu, wA=wA, P=P, wB=wB, Qh=Qh)
 
 
 # --- ambiguity group sampling -----------------------------------------
@@ -472,12 +472,18 @@ def _closed_form(spec: MetricSpec, prep: _Prepared, fterm):
     Fills in, in place, the fiber terms `fterm` of the generic (l = 0)
     pairs by the closed form, which both modes take there since every
     representation pair has the pencil of (C, D11); the caller supplies
-    those of the degenerate pairs (NaN where it has none).
+    those of the degenerate pairs (NaN where it has none). The Grassmann
+    term takes a pair's l largest angles as right angles, as its stratum
+    counts them.
     """
     generic = prep.l == 0
     if generic.any():
         fterm[generic] = _spectrum_values(spec.fiber, prep.mu[generic])
-    gterm = grassmann_distance(spec.grassmann, prep.theta)
+    theta = prep.theta
+    if not generic.all():
+        k = theta.shape[-1]
+        theta = np.where(np.arange(k) >= k - prep.l[:, None], math.pi / 2, theta)
+    gterm = grassmann_distance(spec.grassmann, theta)
     return gterm, np.array([math.hypot(g, f) for g, f in zip(gterm, fterm)])
 
 
@@ -508,7 +514,7 @@ def _generic_distances(mats, spec: MetricSpec):
                 prep = _prepare([mats[k] for k in a], [mats[k] for k in b], N)
                 fwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
                 if r == s:  # the reverse direction off the same factorization
-                    prep = prep.reversed(np.array([mats[k].tol_rank for k in b]))
+                    prep = prep.reversed([mats[k].tol_rank for k in b])
                     bwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
                 else:  # symmetric across unequal ranks
                     bwd = fwd

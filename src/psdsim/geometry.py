@@ -5,8 +5,8 @@ lifted horizontally to the frame bundle in closed form from principal
 vectors. A PSD matrix is transported by carrying its fiber representation
 along the lifted frame; a quasi-geodesic pairs the base geodesic with the
 affine-invariant geodesic between the endpoint fiber representations. A
-quasi-geodesic aligns its pair as `gd` does (`geodist._prepare`) and rejects
-exactly the pairs that `gd` puts on a degenerate stratum, l >= 1.
+quasi-geodesic aligns its pair as `gd` does (`geodist._prepare`). Both curves
+reject exactly the pairs with l >= 1 under gd's rule (`linalg._right_angles`).
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .linalg import (
     Subspace,
     _eig_power,
     _herm,
+    _right_angles,
     check_pd,
     fiber_representation,
     principal_system,
 )
-
-RIGHT_ANGLE_SLACK = 1e-8  # subspace_geodesic's: a bare Subspace has no tol_rank
 
 
 @dataclass
@@ -65,22 +64,18 @@ def _horizontal_lift(a, b, theta):
     return lambda t: a * np.cos(theta * t) + W * np.sin(theta * t)
 
 
-def subspace_geodesic(U: Subspace, V: Subspace, allow_completion=False) -> SubspaceGeodesic:
+def subspace_geodesic(U: Subspace, V: Subspace) -> SubspaceGeodesic:
     """Horizontal lift c(t) of the Grassmann geodesic from U to V, through
-    their principal vectors. Unique only when every principal angle is below
-    a right angle; right-angle pairs are rejected unless allow_completion.
-    """
+    their principal vectors. The geodesic is unique only without right
+    principal angles, so a pair with l >= 1 under U.tol_rank is rejected."""
     if U.r != V.r:
         raise DomainError(f"subspace dimensions differ: {U.r} vs {V.r}")
     ps = principal_system(U, V)
-    theta = ps.theta
-    if not allow_completion and theta.size and theta.max() >= math.pi / 2 - RIGHT_ANGLE_SLACK:
-        raise DomainError(
-            "right principal angle: base geodesic not unique "
-            "(pass allow_completion=True to pick one)"
-        )
+    l = _right_angles(ps.sigma, U.tol_rank)
+    if l:
+        raise DomainError(f"right principal angle (l = {l}): base geodesic not unique")
     return SubspaceGeodesic(start=U, end=V, principal=ps,
-                            evaluator=_horizontal_lift(ps.left_frame, ps.right_frame, theta))
+                            evaluator=_horizontal_lift(ps.left_frame, ps.right_frame, ps.theta))
 
 
 def parallel_transport(A: PsdMatrix, geo: SubspaceGeodesic, t: float) -> PsdMatrix:

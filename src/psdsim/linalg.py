@@ -146,6 +146,12 @@ def pencil_eigenvalues(X, Y):
     return _pencil_from_eig(wx, Vx, check_hermitian(Y))
 
 
+def _check_tolerances(**tols):
+    for name, tol in tols.items():
+        if not 0.0 <= tol < np.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class PsdMatrix:
     """A finite Hermitian PSD matrix with cached spectral data.
@@ -166,9 +172,7 @@ class PsdMatrix:
     _eigvecs: np.ndarray = _dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, tol in (("tol_rank", self.tol_rank), ("tol_psd", self.tol_psd)):
-            if not 0.0 <= tol < np.inf:
-                raise DomainError(f"{name} must be finite and >= 0, got {tol}")
+        _check_tolerances(tol_rank=self.tol_rank, tol_psd=self.tol_psd)
         entries = check_hermitian(self.entries)
         w, V = hermitian_eig(entries)
         if w.size and w[-1] < -self.tol_psd * (1.0 + max(w[0], 0.0)):
@@ -202,11 +206,14 @@ class PsdMatrix:
 
 @dataclass
 class Subspace:
-    """A point of Gr(r, n) stored as an n x r column-orthonormal frame."""
+    """A point of Gr(r, n) stored as an n x r column-orthonormal frame; as for a
+    PsdMatrix, `tol_rank` decides the strata of the pairs it is first in."""
 
     frame: np.ndarray
+    tol_rank: float = TOL_RANK
 
     def __post_init__(self):
+        _check_tolerances(tol_rank=self.tol_rank)
         self.frame = _as_array(self.frame)
         if self.frame.ndim != 2:
             raise DomainError("subspace frame must be a 2-d array")
@@ -240,8 +247,8 @@ class PrincipalSystem:
 
 
 def range_subspace(A: PsdMatrix) -> Subspace:
-    """Orthonormal frame for the column space of A (the bundle projection)."""
-    return Subspace(A.compact_factors()[0])
+    """Orthonormal frame for the column space of A (the bundle projection), at A's tol_rank."""
+    return Subspace(A.compact_factors()[0], tol_rank=A.tol_rank)
 
 
 def embed_pad(A: PsdMatrix, n: int) -> PsdMatrix:
@@ -284,6 +291,11 @@ def _principal_angles(UA, UB):
     k = sigma.shape[-1]
     theta = small_angles_refined(sigma, UA, UB @ np.swapaxes(Qh[..., :k, :].conj(), -1, -2))
     return P, sigma, Qh, theta
+
+
+def _right_angles(sigma, tol):
+    """The stratum rule: l counts the cosines sigma <= tol, per pair of a stack."""
+    return np.count_nonzero(sigma <= np.asarray(tol)[..., None], axis=-1)
 
 
 def principal_system(U: Subspace, V: Subspace) -> PrincipalSystem:

@@ -107,11 +107,16 @@ def _min_quadratic_box(alpha, beta, c):
     At a KKT point the free variables share the value x = -beta*S/alpha
     (S = sum t) and constraint i is active iff c_i >= x, so the active set
     is a prefix of the descending c. Candidate j activates the first j:
-    x_j = -beta*A_j/(alpha + (r - j)*beta) with A_j = c_1 + ... + c_j. It is
-    a KKT point iff c_{j+1} <= x_j (the free variables are feasible) and
+    x_j = -beta*A_j/(alpha + (r - j)*beta) with A_j = c_1 + ... + c_j, and
+    S_j = A_j + (r - j)*x_j = alpha*A_j/(alpha + (r - j)*beta), a form
+    that does not cancel at large beta. It is a KKT point iff
+    c_{j+1} <= x_j (the free variables are feasible) and
     2*alpha*c_j + 2*beta*S_j >= 0 (the smallest active multiplier is
     nonnegative). The scan returns the best KKT candidate, which is the
     unique minimizer when the program is convex (alpha + r*beta > 0).
+    The candidates are formed with alpha and beta divided by max(alpha,
+    |beta|), so that no intermediate overflows; a value beyond the float
+    range raises DomainError.
     """
     c = np.asarray(c, dtype=float)
     r = c.shape[-1]
@@ -119,19 +124,25 @@ def _min_quadratic_box(alpha, beta, c):
     A = np.concatenate([zero, np.cumsum(c, axis=-1)], axis=-1)
     Q = np.concatenate([zero, np.cumsum(c * c, axis=-1)], axis=-1)
     free = r - np.arange(r + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(free > 0, -beta * A / (alpha + free * beta), 0.0)
-    S = A + free * x
+    scale = max(alpha, abs(beta))
+    alpha, beta = alpha / scale, beta / scale
+    # x at j = r, where no variable is free, is discarded and may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = alpha + free * beta
+        x = np.where(free > 0, -beta * A / den, 0.0)
+        S = alpha * A / den
     kkt = np.ones(A.shape, dtype=bool)
     kkt[..., :r] &= x[..., :r] >= c - 1e-12
-    kkt[..., 1:] &= 2.0 * alpha * c + 2.0 * beta * S[..., 1:] >= -1e-10
+    kkt[..., 1:] &= 2.0 * alpha * c + 2.0 * beta * S[..., 1:] >= -1e-10 / scale
     obj = np.where(kkt, alpha * (Q + free * x * x) + beta * S * S, np.inf)
     j = np.argmin(obj, axis=-1)[..., None]
     best = np.take_along_axis(obj, j, axis=-1)[..., 0]
     if not np.all(np.isfinite(best)):
         raise OptimizerError("two-parameter quadratic program has no KKT point")
+    if scale > 1.0 and np.any(best > np.finfo(float).max / scale):
+        raise DomainError("two-parameter quadratic program: value beyond the float range")
     t = np.where(np.arange(r) < j, c, np.take_along_axis(x, j, axis=-1))
-    return np.maximum(0.0, best), t
+    return np.maximum(0.0, best) * scale, t
 
 
 def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
@@ -190,8 +201,10 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
         beta_eff = beta
     else:
         # minimizing over the free trailing variables in closed form leaves
-        # an r-variable program with a shrunken coupling coefficient
-        beta_eff = alpha * beta / (alpha + (s - r) * beta)
+        # an r-variable program with a shrunken coupling coefficient, formed
+        # with beta / max(alpha, |beta|) so that it cannot overflow
+        scale = max(alpha, abs(beta))
+        beta_eff = alpha * (beta / scale) / (alpha / scale + (s - r) * (beta / scale))
     return float(np.sqrt(_min_quadratic_box(alpha, beta_eff, c)[0]))
 
 

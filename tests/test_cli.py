@@ -183,6 +183,18 @@ def test_non_finite_divergence_parameter_exits_2(tmp_path, capsys):
         assert code == 2 and out == "" and "must be finite" in err, fiber
 
 
+def test_finite_large_beta_is_evaluated(tmp_path, capsys):
+    # beta = 1e308 overflowed alpha + r*beta inside the quadratic program
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0, 0.0]))
+    b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 0.5, 1.0, 2.0]))
+    totals = []
+    for fiber in ("geoab:1,1e12", "geoab:1,1e308"):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", fiber)
+        assert code == 0, err
+        totals.append(json.loads(out)["total"])
+    assert abs(totals[1] - totals[0]) <= 1e-9 * totals[0]
+
+
 def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
     b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)
@@ -381,17 +393,37 @@ def test_transport_endpoints_and_rank(tmp_path, capsys):
     assert sys_.theta.max() <= 1e-8
 
 
-def test_transport_right_angle_needs_flag(tmp_path, capsys):
+def test_transport_right_angle_exits_3(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0, 0.0]))
     frame = np.zeros((4, 2))
     frame[2, 0] = 1.0
     frame[3, 1] = 1.0
     t = write_matrix(tmp_path / "t.psdm", frame)
-    code, _, _ = run_cli(capsys, "transport", "--a", a, "--target", t)
-    assert code == 3
-    code, _, _ = run_cli(capsys, "transport", "--a", a, "--target", t,
-                         "--steps", "2", "--force-completion")
-    assert code == 0
+    code, out, err = run_cli(capsys, "transport", "--a", a, "--target", t)
+    assert code == 3 and out == "" and "right principal angle (l = 2)" in err
+
+
+def test_transport_right_angles_follow_tol(tmp_path, capsys):
+    # principal cosines (1, 1e-9): gd's l is 0 at the default --tol and 1 at
+    # --tol 1e-6, and transport accepts and rejects the range pair alike
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0]))
+    t = write_matrix(tmp_path / "t.psdm", [[1.0, 0.0], [0.0, 1e-9], [0.0, 1.0]])
+    b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 0.0, 0.0]) + 2.0 * np.outer(
+        [0.0, 1e-9, 1.0], [0.0, 1e-9, 1.0]))
+    for flags, code_want, l in (([], 0, 0), (["--tol", "1e-6"], 3, 1)):
+        code, out, _ = run_cli(capsys, "dist", "--a", a, "--b", b, *flags)
+        assert code == 0 and json.loads(out)["stratum_index"] == l
+        code, out, err = run_cli(capsys, "transport", "--a", a, "--target", t, "--steps", "1",
+                                 *flags)
+        assert code == code_want, err
+    assert out == "" and "right principal angle (l = 1)" in err
+
+
+def test_transport_target_dimension_must_match_rank(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0]))
+    t = write_matrix(tmp_path / "t.psdm", np.eye(3)[:, :1])
+    code, out, err = run_cli(capsys, "transport", "--a", a, "--target", t)
+    assert code == 3 and out == "" and "dimensions differ: 2 vs 1" in err
 
 
 def test_import_and_oracle_leave_scipy_unloaded():

@@ -410,6 +410,21 @@ def test_result_serialization():
     assert d["stratum_index"] == 2 and len(d["angles"]) == 3
 
 
+def test_martin_is_infinite_on_every_degenerate_direction():
+    # principal cosines (1, 1e-11): l = 1 both ways at the default tol_rank,
+    # so the Grassmann term counts the second angle as a right angle
+    b = np.array([0.0, 1e-11, 1.0])
+    A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([3.0, 0.0, 0.0]) + 2.0 * np.outer(b, b))
+    res = ps.gd(A, B, ps.MetricSpec(GM.MARTIN, FD.geodesic()))
+    assert res.stratum_index == 1 and math.isinf(res.grassmann_term)
+    assert res.angles[-1] < math.pi / 2  # the reported angles stay as computed
+    gram = ps.pairwise_gram([A, B], ps.MetricSpec(GM.MARTIN, FD.geodesic()))
+    assert math.isinf(gram[0, 1]) and math.isinf(gram[1, 0])
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic()))
+    assert res.grassmann_term == math.hypot(res.angles[0], math.pi / 2)
+
+
 def _rand_complex_psd(rng, n, r):
     G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)

@@ -70,15 +70,12 @@ def test_geodesic_horizontality():
         assert np.abs(c.T @ dc).max() <= 1e-6
 
 
-def test_right_angle_rejected_unless_forced():
+def test_right_angle_rejected():
     E = np.eye(4)
     U = ps.Subspace(E[:, :2])
     V = ps.Subspace(E[:, 2:])
-    with pytest.raises(ps.DomainError):
+    with pytest.raises(ps.DomainError, match=r"right principal angle \(l = 2\)"):
         ps.subspace_geodesic(U, V)
-    geo = ps.subspace_geodesic(U, V, allow_completion=True)
-    sys = ps.principal_system(ps.Subspace(geo.evaluator(1.0)), V)
-    assert sys.theta.max() <= 1e-8
 
 
 def test_transport_constant_curve():
@@ -287,8 +284,11 @@ def test_quasi_geodesic_stratum_is_the_stratum_of_gd():
     A, B = ps.PsdMatrix(A_entries), ps.PsdMatrix(B_entries)
     assert ps.gd(A, B, spec).stratum_index == 0
     assert math.isfinite(ps.quasi_geodesic_length(A, B, 1.0))
+    ps.subspace_geodesic(ps.range_subspace(A), ps.range_subspace(B))
     A, B = ps.PsdMatrix(A_entries, tol_rank=1e-6), ps.PsdMatrix(B_entries, tol_rank=1e-6)
     assert ps.gd(A, B, spec).stratum_index == 1
+    with pytest.raises(ps.DomainError, match=r"right principal angle \(l = 1\)"):
+        ps.subspace_geodesic(ps.range_subspace(A), ps.range_subspace(B))
     with pytest.raises(ps.DomainError, match="right principal angle"):
         ps.quasi_geodesic_length(A, B, 1.0)
     with pytest.raises(ps.DomainError, match="right principal angle"):

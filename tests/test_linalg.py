@@ -138,6 +138,9 @@ def test_psdmatrix_validation():
 def test_psdmatrix_rejects_bad_tolerances(name, bad):
     with pytest.raises(ps.DomainError, match=name):
         ps.PsdMatrix(np.eye(2), **{name: bad})
+    if name == "tol_rank":  # a Subspace checks its own tol_rank alike
+        with pytest.raises(ps.DomainError, match=name):
+            ps.Subspace(np.eye(2), tol_rank=bad)
 
 
 def test_psdmatrix_fields_cannot_be_reassigned():
