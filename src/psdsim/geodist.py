@@ -356,9 +356,24 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
 
 
 def _cayley(Ts, Om):
-    """T (I - Omega/2)^{-1} (I + Omega/2): unitary for skew-Hermitian Omega."""
+    """T (I - Omega/2)^{-1} (I + Omega/2): unitary for skew-Hermitian Omega.
+
+    I - Omega/2 is never singular in exact arithmetic, but at a huge Omega
+    LAPACK can find it so; those rows come back NaN, a point outside the
+    domain. Only after the stacked solve raises are the rows solved one by one.
+    """
     eye = np.eye(Ts.shape[-1])
-    return Ts @ np.linalg.solve(eye - 0.5 * Om, eye + 0.5 * Om)
+    lhs, rhs = eye - 0.5 * Om, eye + 0.5 * Om
+    try:
+        return Ts @ np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        X = np.full(rhs.shape, np.nan, dtype=rhs.dtype)
+        for i in range(len(X)):
+            try:
+                X[i] = np.linalg.solve(lhs[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return Ts @ X
 
 
 def _ascend(spec, C_invhalf, D, l, Ts):
@@ -366,15 +381,23 @@ def _ascend(spec, C_invhalf, D, l, Ts):
 
     `linalg._descend` minimizes -F with the gradient -Omega, written in
     real coordinates of the skew-Hermitian k x k matrices, and steps by the
-    Cayley retraction. Returns F at each start's final point, as the
-    descent certified it; raises OptimizerError if no start reached a
+    Cayley retraction; a trial step the retraction cannot take is rejected
+    and backtracked. Returns F at each start's final point, as the descent
+    certified it; raises OptimizerError if no start reached a
     stationary point within _ASCENT_MAX_ITER iterations.
     """
     m, k = Ts.shape[0], Ts.shape[-1]
 
     def fg(T):
+        singular = None
+        if not np.isfinite(T).all():  # NaN rows: Cayley steps LAPACK found singular
+            singular = np.isnan(T).any(axis=(-2, -1))
+            T = np.where(singular[:, None, None], np.eye(k), T)
         F, Om = _ascent_state(spec, C_invhalf, D, l, T)
-        return -F, -Om.reshape(len(T), -1).view(float)
+        f, g = -F, -Om.reshape(len(T), -1).view(float)
+        if singular is not None:
+            f[singular], g[singular] = np.inf, 0.0  # outside the domain
+        return f, g
 
     def retract(T, p, t):
         P = p.view(Ts.dtype).reshape(-1, k, k)
@@ -454,7 +477,7 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     else:
         fterm[0] = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)
         mode = "optimizedDegenerate"
-    gterm, total = _closed_form(spec, prep, fterm)
+    gterm, total = _closed_form(spec, prep.l, prep.mu, prep.theta, fterm)
     return GdResult(
         total=float(total[0]),
         grassmann_term=float(gterm[0]),
@@ -466,23 +489,24 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     )
 
 
-def _closed_form(spec: MetricSpec, prep: _Prepared, fterm):
+def _closed_form(spec: MetricSpec, l, mu, theta, fterm):
     """Grassmann terms and totals sqrt(g^2 + f^2) of a stack of pairs.
 
-    Fills in, in place, the fiber terms `fterm` of the generic (l = 0)
-    pairs by the closed form, which both modes take there since every
-    representation pair has the pencil of (C, D11); the caller supplies
-    those of the degenerate pairs (NaN where it has none). The Grassmann
-    term takes a pair's l largest angles as right angles, as its stratum
-    counts them.
+    Takes each pair's stratum l (m,), unclamped pencil spectrum mu (m, r)
+    and principal angles theta (m, r). Fills in, in place, the fiber terms
+    `fterm` of the generic (l = 0) pairs by the closed form, which both
+    modes take there since every representation pair has the pencil of
+    (C, D11); the caller supplies those of the degenerate pairs (NaN where
+    it has none). The Grassmann term takes a pair's l largest angles as
+    right angles, as its stratum counts them. Each row's value depends on
+    that row alone, so a stack gives the values of one call per pair.
     """
-    generic = prep.l == 0
+    generic = l == 0
     if generic.any():
-        fterm[generic] = _spectrum_values(spec.fiber, prep.mu[generic])
-    theta = prep.theta
+        fterm[generic] = _spectrum_values(spec.fiber, mu[generic])
     if not generic.all():
         k = theta.shape[-1]
-        theta = np.where(np.arange(k) >= k - prep.l[:, None], math.pi / 2, theta)
+        theta = np.where(np.arange(k) >= k - l[:, None], math.pi / 2, theta)
     gterm = grassmann_distance(spec.grassmann, theta)
     return gterm, np.array([math.hypot(g, f) for g, f in zip(gterm, fterm)])
 
@@ -490,13 +514,24 @@ def _closed_form(spec: MetricSpec, prep: _Prepared, fterm):
 def _generic_distances(mats, spec: MetricSpec):
     """Closed-form distances of the generic directions of every pair, stacked.
 
-    Returns the (n, n) distances and the mask of the directions they fill:
-    those with l = 0 whose chunk evaluated without error (pairwise_gram
-    describes the grouping).
+    Returns the (n, n) distances and the mask of the directions they fill.
+    Two phases (pairwise_gram describes the grouping):
+
+    - alignment: one _prepare per (r, s, field) group chunk, plus its
+      reverse at r = s, keeps each generic (l = 0) direction's pencil
+      spectrum and principal angles;
+    - values: those directions are buffered by their left rank r, across
+      groups, fields and both directions, and each buffer goes through
+      _closed_form as one stack once its spectra reach _CHUNK_BYTES, and
+      at the end.
+
+    A chunk whose alignment raised and a buffer whose values raised fill
+    nothing; gd evaluates their directions.
     """
     n = len(mats)
     out = np.zeros((n, n))
     done = np.zeros((n, n), dtype=bool)
+    ranks = np.array([X.rank for X in mats])
     groups = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -505,6 +540,21 @@ def _generic_distances(mats, spec: MetricSpec):
             if A.rank:
                 dtype = np.result_type(A.entries, B.entries)
                 groups.setdefault((A.rank, B.rank, dtype), []).append((a, b))
+    buffers = {}  # left rank -> buffered (x, y, mu, theta) of generic directions
+    nbytes = {}   # left rank -> bytes of its buffered spectra
+
+    def flush(r):
+        x, y, mu, theta = map(np.concatenate, zip(*buffers.pop(r)))
+        del nbytes[r]
+        try:
+            v = _closed_form(spec, np.zeros(len(x), dtype=int), mu, theta,
+                             np.full(len(x), np.nan))[1]
+        except (PsdSimError, np.linalg.LinAlgError):
+            return  # left to gd, which raises in loop order
+        sym = ranks[x] != ranks[y]  # symmetric across unequal ranks
+        out[x, y], out[y[sym], x[sym]] = v, v[sym]
+        done[x, y] = done[y[sym], x[sym]] = True
+
     for (r, s, dtype), pairs in groups.items():
         N = max(max(mats[a].n, mats[b].n) for a, b in pairs)
         size = max(1, _CHUNK_BYTES // (N * s * dtype.itemsize))
@@ -512,17 +562,21 @@ def _generic_distances(mats, spec: MetricSpec):
             a, b = np.array(pairs[c:c + size]).T
             try:
                 prep = _prepare([mats[k] for k in a], [mats[k] for k in b], N)
-                fwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
+                directions = [(a, b, prep)]
                 if r == s:  # the reverse direction off the same factorization
-                    prep = prep.reversed([mats[k].tol_rank for k in b])
-                    bwd = prep.l == 0, _closed_form(spec, prep, np.full(len(a), np.nan))[1]
-                else:  # symmetric across unequal ranks
-                    bwd = fwd
+                    directions.append((b, a, prep.reversed([mats[k].tol_rank for k in b])))
             except (PsdSimError, np.linalg.LinAlgError):
-                continue  # left to gd, which raises in loop order
-            for x, y, (generic, v) in ((a, b, fwd), (b, a, bwd)):
-                out[x[generic], y[generic]] = v[generic]
-                done[x[generic], y[generic]] = True
+                continue  # left to gd
+            for x, y, p in directions:
+                generic = p.l == 0
+                if generic.any():
+                    mu = p.mu[generic]
+                    buffers.setdefault(r, []).append((x[generic], y[generic], mu, p.theta[generic]))
+                    nbytes[r] = nbytes.get(r, 0) + mu.nbytes
+                    if nbytes[r] >= _CHUNK_BYTES:
+                        flush(r)
+    for r in list(buffers):
+        flush(r)
     return out, done
 
 
@@ -531,20 +585,23 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=20000):
 
     Each unordered pair is aligned once, its lower-rank matrix (the first
     at equal ranks) on the left, and pairs of unequal rank are symmetric.
-    Pairs are grouped by their two ranks and their field (real or complex);
-    a group's compact factors are zero-padded to its largest ambient size
-    and prepared as stacks: one batched product and SVD for the principal
-    angles, one values-only SVD for the pencil spectra, and one closed-form
-    value map. A group is cut into chunks so that each (pairs, N, s) factor
-    stack stays within a fixed byte budget (_CHUNK_BYTES); the
-    padding is the group's, so results do not depend on the chunking.
-    Equal-rank pairs read the reverse direction off the same factorization.
+    The generic directions run in two phases. Alignment groups the pairs by
+    their two ranks and their field (real or complex); a group's compact
+    factors are zero-padded to its largest ambient size and prepared as
+    stacks: one batched product and SVD for the principal angles and one
+    values-only SVD for the pencil spectra per chunk, each (pairs, N, s)
+    factor stack within a fixed byte budget (_CHUNK_BYTES). Equal-rank
+    pairs read the reverse direction off the same factorization. Values
+    then come from the closed form in one call per left rank, across
+    groups, fields and both directions, each batch's spectra within the
+    same byte budget. The padding is the group's and each value its row's,
+    so results depend neither on the chunking nor on the batching.
 
     Every other direction runs through gd, one pair at a time: those on a
-    degenerate stratum (l >= 1), those with a zero-rank matrix, and those of
-    a chunk whose stacked evaluation raised. They run in row-major order of
-    (i, j), then (j, i), so an error names the first failing pair in that
-    order.
+    degenerate stratum (l >= 1), those with a zero-rank matrix, those of a
+    chunk whose alignment raised and those of a value batch that raised.
+    They run in row-major order of (i, j), then (j, i), so an error names
+    the first failing pair in that order.
     """
     if not mats:
         raise DomainError("empty input list")

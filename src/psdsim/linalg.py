@@ -54,7 +54,12 @@ def hermitian_eig(M):
 
     Returns (w, V) with M = V diag(w) V* and V*V = I.
     """
-    w, V = np.linalg.eigh(check_hermitian(M))
+    return _eig_descending(check_hermitian(M))
+
+
+def _eig_descending(H):
+    """hermitian_eig of an exactly Hermitian H, which it does not check."""
+    w, V = np.linalg.eigh(H)
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
@@ -174,7 +179,7 @@ class PsdMatrix:
     def __post_init__(self):
         _check_tolerances(tol_rank=self.tol_rank, tol_psd=self.tol_psd)
         entries = check_hermitian(self.entries)
-        w, V = hermitian_eig(entries)
+        w, V = _eig_descending(entries)
         if w.size and w[-1] < -self.tol_psd * (1.0 + max(w[0], 0.0)):
             raise DomainError("matrix is not PSD at tolerance")
         rank = 0 if w.size == 0 or w[0] <= 0.0 else int(np.count_nonzero(w > self.tol_rank * w[0]))

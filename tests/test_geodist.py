@@ -267,6 +267,22 @@ def test_two_parameter_fiber_outside_its_region_raises():
             ps.gd(C, D, spec(-0.5, mode), budget=2, samples=64)
 
 
+def test_degenerate_ascent_at_huge_beta_rejects_singular_cayley_steps():
+    # l = 1 with a real 3-dimensional tail: at beta >= 1e20 the first trial
+    # steps of the ascent are so long that LAPACK finds I - Omega/2 singular;
+    # such a step is rejected and backtracked, and fiber / sqrt(beta) stays
+    # where beta = 1e12 puts it
+    A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
+    for seed in (0, 1):
+        values = []
+        for beta in (1e12, 1e20, 1e30, 1e100):
+            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1.0, beta)), seed=seed)
+            assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
+            values.append(res.fiber_term / math.sqrt(beta))
+        assert all(abs(v - values[0]) <= 1e-9 * values[0] for v in values), (seed, values)
+
+
 def test_degenerate_sign_enumeration_is_exact():
     # one-dimensional residual group over the reals: only +-1 to try
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0]))
@@ -475,11 +491,30 @@ def _stacked_engine_inputs():
                    for d in ([1.0, 2.0, 0.0], [1.0, 0.0, 3.0])]
 
 
+def _record_value_batches(monkeypatch):
+    """(rank, rows) of each _closed_form call on generic directions only,
+    which the engine makes; gd's calls on degenerate pairs are left out."""
+    batches = []
+    closed_form = ps.geodist._closed_form
+
+    def recorded(spec, l, mu, theta, fterm):
+        if not l.any():
+            batches.append(mu.shape)
+        return closed_form(spec, l, mu, theta, fterm)
+
+    monkeypatch.setattr(ps.geodist, "_closed_form", recorded)
+    return batches
+
+
 @pytest.mark.parametrize("fiber", ["geo", "geoab:1,0.25"])
 def test_stacked_pairwise_agrees_with_gd_and_ignores_chunking(monkeypatch, fiber):
     mats = _stacked_engine_inputs()
     spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+    batches = _record_value_batches(monkeypatch)
     gram = ps.pairwise_gram(mats, spec, seed=2, budget=4)
+    # at the default budget, one value batch per left rank, across groups,
+    # fields and both directions
+    assert sorted(r for _, r in batches) == [1, 2, 3]
     degenerate = 0
     for i, A in enumerate(mats):
         for j, B in enumerate(mats):
@@ -490,9 +525,17 @@ def test_stacked_pairwise_agrees_with_gd_and_ignores_chunking(monkeypatch, fiber
                     degenerate += 1
                     assert gram[i, j] == res.total
     assert degenerate == 2
-    # one pair per chunk: the padded size is the group's, so nothing moves
-    monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", 1)
-    assert np.array_equal(ps.pairwise_gram(mats, spec, seed=2, budget=4), gram)
+    # one pair per chunk: the padded size is the group's, so nothing moves;
+    # at 256 bytes the rank-2 buffer (78 directions, 16 bytes of spectrum
+    # each) is flushed partway, in batches of several chunks, and at 1 byte
+    # after every chunk
+    for chunk_bytes in (256, 1):
+        monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", chunk_bytes)
+        batches.clear()
+        assert np.array_equal(ps.pairwise_gram(mats, spec, seed=2, budget=4), gram)
+        rank2 = [m for m, r in batches if r == 2]
+        assert sum(rank2) == 78 and len(rank2) > 1
+        assert (max(rank2) > 1) == (chunk_bytes > 1)
 
 
 def test_pairwise_gram_faithful_matches_gd():

@@ -8,6 +8,7 @@ import pytest
 import psdsim as ps
 from helpers import (
     EXAMPLE_A,
+    count_calls,
     displayed_left_fiber,
     displayed_right_fiber,
     example_pair,
@@ -165,6 +166,21 @@ def test_psdmatrix_arrays_are_read_only():
         with pytest.raises(ValueError):
             arr[index] = 5.0
     assert A.rank == rank and ps.gd(A, B, spec).total == total
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_psdmatrix_checks_its_entries_once(monkeypatch, complex_field):
+    # one check_hermitian and one eigh per construction; the eigensystem is
+    # hermitian_eig's of the entries, bit for bit
+    rng = np.random.default_rng(42)
+    G = rng.normal(size=(5, 3)) + (1j * rng.normal(size=(5, 3)) if complex_field else 0.0)
+    M = G @ G.conj().T
+    w, V = ps.hermitian_eig(M)
+    checks = count_calls(monkeypatch, ps.linalg, "check_hermitian")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    A = ps.PsdMatrix(M)
+    assert checks["n"] == 1 and eighs["n"] == 1
+    assert np.array_equal(A.eigensystem()[0], w) and np.array_equal(A.eigensystem()[1], V)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
