@@ -54,12 +54,7 @@ def hermitian_eig(M):
 
     Returns (w, V) with M = V diag(w) V* and V*V = I.
     """
-    return _eig_descending(check_hermitian(M))
-
-
-def _eig_descending(H):
-    """hermitian_eig of an exactly Hermitian H, which it does not check."""
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(check_hermitian(M))
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
@@ -159,10 +154,12 @@ def _check_tolerances(**tols):
 
 @dataclass(frozen=True)
 class PsdMatrix:
-    """A finite Hermitian PSD matrix with cached spectral data.
+    """A finite Hermitian PSD matrix with its cached compact factor.
 
-    The eigendecomposition is computed once at construction; rank and
-    range queries reuse it. `tol_rank` (relative to the largest eigenvalue)
+    One eigendecomposition at construction decides PSD-ness and the rank
+    r from the full spectrum; only the r leading eigenvectors (n x r) and
+    the r positive eigenvalues are kept, which every range and fiber query
+    reads. `tol_rank` (relative to the largest eigenvalue)
     decides the rank, and so the stratum of every pair in which this is the
     lower-rank argument; `tol_psd` bounds the negative eigenvalues accepted.
     Both must be finite and >= 0, and like every field are fixed at
@@ -173,23 +170,29 @@ class PsdMatrix:
     tol_rank: float = TOL_RANK
     tol_psd: float = TOL_PSD
     rank: int = _dataclass_field(init=False)
-    _eigvals: np.ndarray = _dataclass_field(init=False, repr=False)
-    _eigvecs: np.ndarray = _dataclass_field(init=False, repr=False)
+    _w: np.ndarray = _dataclass_field(init=False, repr=False)
+    _U: np.ndarray = _dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         _check_tolerances(tol_rank=self.tol_rank, tol_psd=self.tol_psd)
         entries = check_hermitian(self.entries)
-        w, V = _eig_descending(entries)
-        if w.size and w[-1] < -self.tol_psd * (1.0 + max(w[0], 0.0)):
+        w, V = np.linalg.eigh(entries)
+        # ascending: the PSD test reads the smallest eigenvalue, the rank the largest
+        if w.size and w[0] < -self.tol_psd * (1.0 + max(w[-1], 0.0)):
             raise DomainError("matrix is not PSD at tolerance")
-        rank = 0 if w.size == 0 or w[0] <= 0.0 else int(np.count_nonzero(w > self.tol_rank * w[0]))
-        # read-only, so that rank and the eigensystem cannot go stale
-        for a in (entries, w, V):
+        rank = 0 if w.size == 0 or w[-1] <= 0.0 else int(np.count_nonzero(w > self.tol_rank * w[-1]))
+        # owned C-contiguous copies of the r leading columns and values, descending,
+        # so that the n x n basis is not kept alive
+        n = w.size
+        U = np.ascontiguousarray(V[:, n - rank:][:, ::-1])
+        w = w[n - rank:][::-1].copy()
+        # read-only, so that rank and the compact factor cannot go stale
+        for a in (entries, w, U):
             a.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_eigvals", w)
-        object.__setattr__(self, "_eigvecs", V)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_U", U)
 
     @property
     def n(self):
@@ -199,14 +202,10 @@ class PsdMatrix:
     def field(self):
         return "complex" if np.iscomplexobj(self.entries) else "real"
 
-    def eigensystem(self):
-        """Cached (eigenvalues descending, eigenvectors)."""
-        return self._eigvals, self._eigvecs
-
     def compact_factors(self):
-        """(U, w) with entries = U diag(w) U*, w the positive eigenvalues."""
-        r = self.rank
-        return self._eigvecs[:, :r], self._eigvals[:r]
+        """(U, w) with entries = U diag(w) U*, w the positive eigenvalues
+        descending; U is n x r."""
+        return self._U, self._w
 
 
 @dataclass
@@ -316,6 +315,12 @@ def principal_system(U: Subspace, V: Subspace) -> PrincipalSystem:
     )
 
 
+def _row_norms(x):
+    """Euclidean norms of the rows of a real matrix, as np.linalg.norm(x, axis=1)
+    computes them."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _descend(fg, retract, X, max_iter):
     """Batched quasi-Newton descent of f from every start in the stack X.
 
@@ -336,12 +341,12 @@ def _descend(fg, retract, X, max_iter):
     scaled = np.zeros(m, dtype=bool)
     live = np.ones(m, dtype=bool)
     for _ in range(max_iter):
-        live &= np.linalg.norm(g, axis=1) > 1e-7 * (1.0 + np.abs(f))
+        live &= _row_norms(g) > 1e-7 * (1.0 + np.abs(f))
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
         p = -np.einsum("mij,mj->mi", Hinv[idx], g[idx])
-        slope = np.sum(p * g[idx], axis=1)
+        slope = np.add.reduce(p * g[idx], axis=1)
         t = np.ones(idx.size)
         for _ in range(30):
             X_try = retract(X[idx], p, t)
@@ -362,26 +367,29 @@ def _descend(fg, retract, X, max_iter):
             t = np.clip(-0.5 * slope * t * t / drop, 0.1 * t, 0.5 * t)
         # starts that found no descent step sit at the resolution of f too
         live[idx] = False
-    return X, f, np.linalg.norm(g, axis=1) <= 1e-7 * (1.0 + np.abs(f))
+    return X, f, _row_norms(g) <= 1e-7 * (1.0 + np.abs(f))
 
 
 def _bfgs_update(Hinv, scaled, idx, s, y):
     """BFGS update of the inverse Hessians at idx, for steps s and gradient
     changes y; skipped where the curvature <s, y> is not positive."""
-    sy = np.sum(s * y, axis=1)
-    use = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+    sy = np.add.reduce(s * y, axis=1)
+    use = sy > 1e-12 * _row_norms(s) * _row_norms(y)
     idx, s, y, sy = idx[use], s[use], y[use], sy[use]
     first = ~scaled[idx]
     if first.any():
-        gamma = sy[first] / np.sum(y[first] * y[first], axis=1)
+        gamma = sy[first] / np.add.reduce(y[first] * y[first], axis=1)
         Hinv[idx[first]] *= gamma[:, None, None]
         scaled[idx[first]] = True
     H = Hinv[idx]
     rho = 1.0 / sy
     Hy = np.einsum("mij,mj->mi", H, y)
-    yHy = np.sum(y * Hy, axis=1)
-    H = (H - rho[:, None, None] * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
-         + (rho * rho * yHy + rho)[:, None, None] * s[:, :, None] * s[:, None, :])
+    yHy = np.add.reduce(y * Hy, axis=1)
+    # the rank-two term s Hy* + Hy s*, formed once as u + u*
+    u = s[:, :, None] * Hy[:, None, :]
+    u += np.swapaxes(u, 1, 2)
+    H -= rho[:, None, None] * u
+    H += (rho * rho * yHy + rho)[:, None, None] * s[:, :, None] * s[:, None, :]
     Hinv[idx] = H
 
 

@@ -199,11 +199,12 @@ def test_degenerate_ascent_at_huge_beta_exits_0(tmp_path, capsys):
     # l = 1: the ascent's first trial steps are singular for LAPACK's solve
     a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
     b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
-    code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", "geoab:1,1e30")
-    assert code == 0, err
-    res = json.loads(out)
-    assert res["stratum_index"] == 1
-    assert abs(res["fiber_term"] / 1e15 - 1.098612288668) <= 1e-9
+    for beta, root in (("1e30", 1e15), ("1e308", 1e154)):
+        code, out, err = run_cli(capsys, "dist", "--a", a, "--b", b, "--fiber", f"geoab:1,{beta}")
+        assert code == 0, err
+        res = json.loads(out)
+        assert res["stratum_index"] == 1
+        assert abs(res["fiber_term"] / root - 1.098612288668) <= 1e-9
 
 
 def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):

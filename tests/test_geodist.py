@@ -271,16 +271,31 @@ def test_degenerate_ascent_at_huge_beta_rejects_singular_cayley_steps():
     # l = 1 with a real 3-dimensional tail: at beta >= 1e20 the first trial
     # steps of the ascent are so long that LAPACK finds I - Omega/2 singular;
     # such a step is rejected and backtracked, and fiber / sqrt(beta) stays
-    # where beta = 1e12 puts it
+    # where beta = 1e12 puts it. From beta = 1e200 on, the norms and slopes of
+    # an unscaled ascent overflow (a RuntimeWarning, fatal here), and at
+    # 1e308 no start would reach a stationary point
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
     B = ps.PsdMatrix(np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
     for seed in (0, 1):
         values = []
-        for beta in (1e12, 1e20, 1e30, 1e100):
+        for beta in (1e12, 1e20, 1e30, 1e100, 1e200, 1e300, 1e308):
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1.0, beta)), seed=seed)
             assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
             values.append(res.fiber_term / math.sqrt(beta))
         assert all(abs(v - values[0]) <= 1e-9 * values[0] for v in values), (seed, values)
+
+
+def test_scaled_ascent_raises_beyond_the_float_range():
+    # at beta = 1e308 the ascent works on F / 2^1023; an F that cannot be
+    # multiplied back raises DomainError rather than overflowing to inf
+    Cih = ps.geodist._inv_half(np.diag([1.0, 2.0]))
+    D = np.diag([3.0, 1.0, 2.0, 0.5])
+    Ts = ps.geodist._sample_group(np.random.default_rng(0), 3, 4, False)
+    spec = FD.geodesic_ab(1.0, 1e308)
+    F = ps.geodist._ascend(spec, Cih, D, 1, Ts)
+    assert np.isfinite(F).all() and F.max() > 1e308
+    with pytest.raises(ps.DomainError, match="beyond the float range"):
+        ps.geodist._ascend(spec, Cih, 1e3 * D, 1, Ts)
 
 
 def test_degenerate_sign_enumeration_is_exact():

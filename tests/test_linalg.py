@@ -155,14 +155,13 @@ def test_psdmatrix_fields_cannot_be_reassigned():
 
 
 def test_psdmatrix_arrays_are_read_only():
-    # an in-place write would leave the cached rank and eigensystem stale
+    # an in-place write would leave the cached rank and compact factor stale
     rng = np.random.default_rng(41)
     A, B = rand_psd_rank(rng, 5, 2), rand_psd_rank(rng, 5, 3)
     spec = ps.MetricSpec(ps.GrassmannMetric.GEODESIC, ps.FiberDivergence.geodesic())
     rank, total = A.rank, ps.gd(A, B, spec).total
-    w, V = A.eigensystem()
     U, wr = A.compact_factors()
-    for arr, index in ((A.entries, (2, 2)), (w, (0,)), (V, (0, 0)), (U, (0, 0)), (wr, (0,))):
+    for arr, index in ((A.entries, (2, 2)), (U, (0, 0)), (wr, (0,))):
         with pytest.raises(ValueError):
             arr[index] = 5.0
     assert A.rank == rank and ps.gd(A, B, spec).total == total
@@ -170,8 +169,8 @@ def test_psdmatrix_arrays_are_read_only():
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_psdmatrix_checks_its_entries_once(monkeypatch, complex_field):
-    # one check_hermitian and one eigh per construction; the eigensystem is
-    # hermitian_eig's of the entries, bit for bit
+    # one check_hermitian and one eigh per construction; the compact factor
+    # is the leading part of hermitian_eig's of the entries, bit for bit
     rng = np.random.default_rng(42)
     G = rng.normal(size=(5, 3)) + (1j * rng.normal(size=(5, 3)) if complex_field else 0.0)
     M = G @ G.conj().T
@@ -180,7 +179,25 @@ def test_psdmatrix_checks_its_entries_once(monkeypatch, complex_field):
     eighs = count_calls(monkeypatch, np.linalg, "eigh")
     A = ps.PsdMatrix(M)
     assert checks["n"] == 1 and eighs["n"] == 1
-    assert np.array_equal(A.eigensystem()[0], w) and np.array_equal(A.eigensystem()[1], V)
+    U, wr = A.compact_factors()
+    assert A.rank == 3 and np.array_equal(wr, w[:3]) and np.array_equal(U, V[:, :3])
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_psdmatrix_keeps_only_its_compact_factor(complex_field):
+    # a rank-r matrix holds its entries and an n x r factor, not an n x n basis
+    rng = np.random.default_rng(43)
+    n, r = 40, 2
+    G = rng.normal(size=(n, r)) + (1j * rng.normal(size=(n, r)) if complex_field else 0.0)
+    A = ps.PsdMatrix(G @ G.conj().T)
+    w, V = ps.hermitian_eig(A.entries)
+    U, wr = A.compact_factors()
+    assert U.shape == (n, r) and wr.shape == (r,)
+    for arr in (U, wr):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.array_equal(U, V[:, :r]) and np.array_equal(wr, w[:r])
+    held = sum(v.nbytes for v in vars(A).values() if isinstance(v, np.ndarray))
+    assert held <= A.entries.nbytes + (n * r + r) * A.entries.itemsize
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
