@@ -174,22 +174,23 @@ def apply_bound(spec: FiberDivergence, value):
 def _objective(spec: FiberDivergence, lam, with_grad=False):
     """Pre-exponent objective Phi of stacked spectra (last axis), unclamped.
 
-    Phi = sum g(lambda) for per-eigenvalue families and
-    alpha*sum(log^2) + beta*(sum log)^2 for the two-parameter geodesic
+    Phi = sum g(lambda) for per-eigenvalue families and a*sum(log^2) +
+    b*(sum log)^2, (a, b) from _unit_scaled, for the two-parameter geodesic
     family, which is defined on m eigenvalues only in its region
     beta > -alpha/m. With `with_grad`, also returns dPhi/dlambda. Never
     raises or warns: Phi is not finite where the family is undefined.
     """
     with np.errstate(all="ignore"):
         if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+            a, b, _ = _unit_scaled(spec.alpha, spec.beta)
             log = np.log(lam)
             S = np.sum(log, axis=-1)
-            phi = spec.alpha * np.sum(log**2, axis=-1) + spec.beta * S**2
+            phi = a * np.sum(log**2, axis=-1) + b * S**2
             if not geodesic_ab_is_distance_check(spec.alpha, spec.beta, lam.shape[-1]):
                 phi = np.full(np.shape(phi), np.nan)
             if not with_grad:
                 return phi
-            return phi, (2.0 * spec.alpha * log + 2.0 * spec.beta * S[..., None]) / lam
+            return phi, (2.0 * a * log + 2.0 * b * S[..., None]) / lam
         if not with_grad:
             return np.sum(per_eigenvalue_terms(spec, lam), axis=-1)
         terms, dphi = per_eigenvalue_terms(spec, lam, with_grad=True)
@@ -206,9 +207,21 @@ def _defined(spec: FiberDivergence, phi):
     return phi
 
 
+def _unit_scaled(alpha, beta):
+    """(alpha/c, beta/c, c), c = max(alpha, |beta|). The two-parameter geodesic
+    objective is linear in (alpha, beta); at beta != 0 it is always formed at
+    these parameters of size at most 1, and _fiber_values multiplies its value
+    by sqrt(c), so no finite spec overflows there."""
+    c = max(alpha, abs(beta))
+    return alpha / c, beta / c, c
+
+
 def _fiber_values(spec: FiberDivergence, phi):
-    """Values from objective values: outer exponent, then the bound."""
+    """Values from objective values: outer exponent, sqrt(c) where
+    _unit_scaled applies, then the bound."""
     vals = np.where(phi > 0.0, phi, 0.0) ** spec.outer_exponent
+    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+        vals = vals * math.sqrt(_unit_scaled(spec.alpha, spec.beta)[2])
     return apply_bound(spec, vals)
 
 

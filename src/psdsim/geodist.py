@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .divergences import GEODESIC_AB, FiberDivergence, _fiber_values
+from .divergences import FiberDivergence, _fiber_values
 from .errors import DomainError, OptimizerError, PsdSimError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
@@ -384,21 +384,10 @@ def _ascend(spec, C_invhalf, D, l, Ts):
     Cayley retraction; a trial step the retraction cannot take is rejected
     and backtracked. Returns F at each start's final point, as the descent
     certified it; raises OptimizerError if no start reached a
-    stationary point within _ASCENT_MAX_ITER iterations.
-
-    The two-parameter geodesic F is linear in (alpha, beta). Where
-    max(alpha, |beta|) exceeds 2^100, the descent works on F/c, for c the
-    power of two just below that scale, so that its norms and slopes stay
-    in the float range; dividing by a power of two is exact, and F is
-    multiplied back. Otherwise c = 1.
+    stationary point within _ASCENT_MAX_ITER iterations. F is
+    pointset._spectrum_objective, whose geoab parameters are at most 1.
     """
     m, k = Ts.shape[0], Ts.shape[-1]
-    c = 1.0
-    if spec.kind == GEODESIC_AB:
-        _, e = math.frexp(max(spec.alpha, abs(spec.beta)))
-        if e > 100:
-            c = math.ldexp(1.0, e - 1)
-            spec = replace(spec, alpha=spec.alpha / c, beta=spec.beta / c)
 
     def fg(T):
         singular = None
@@ -419,9 +408,7 @@ def _ascend(spec, C_invhalf, D, l, Ts):
     if not done.any():
         raise OptimizerError(
             f"degenerate-stratum ascent: none of {m} starts reached a stationary point")
-    if c > 1.0 and np.any(-f > np.finfo(float).max / c):
-        raise DomainError("degenerate-stratum ascent: value beyond the float range")
-    return -f * c
+    return -f
 
 
 def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0):

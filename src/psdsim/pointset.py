@@ -20,12 +20,13 @@ is an independent brute-force minimizer used for verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import (GEODESIC_AB, FiberDivergence, _defined, _fiber_values, _objective,
-                          geodesic_ab_is_distance_check)
+                          _unit_scaled, geodesic_ab_is_distance_check)
 from .errors import DomainError, OptimizerError
 from .linalg import (
     _descend,
@@ -114,9 +115,7 @@ def _min_quadratic_box(alpha, beta, c):
     2*alpha*c_j + 2*beta*S_j >= 0 (the smallest active multiplier is
     nonnegative). The scan returns the best KKT candidate, which is the
     unique minimizer when the program is convex (alpha + r*beta > 0).
-    The candidates are formed with alpha and beta divided by max(alpha,
-    |beta|), so that no intermediate overflows; a value beyond the float
-    range raises DomainError.
+    Callers pass (alpha, beta) of size at most 1 (_unit_scaled).
     """
     c = np.asarray(c, dtype=float)
     r = c.shape[-1]
@@ -124,25 +123,22 @@ def _min_quadratic_box(alpha, beta, c):
     A = np.concatenate([zero, np.cumsum(c, axis=-1)], axis=-1)
     Q = np.concatenate([zero, np.cumsum(c * c, axis=-1)], axis=-1)
     free = r - np.arange(r + 1)
-    scale = max(alpha, abs(beta))
-    alpha, beta = alpha / scale, beta / scale
-    # x at j = r, where no variable is free, is discarded and may overflow
+    # at j = r no variable is free and S = A; the quotients there are
+    # discarded, and 0/0 when alpha underflowed to 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = alpha + free * beta
         x = np.where(free > 0, -beta * A / den, 0.0)
-        S = alpha * A / den
+        S = np.where(free > 0, alpha * A / den, A)
     kkt = np.ones(A.shape, dtype=bool)
     kkt[..., :r] &= x[..., :r] >= c - 1e-12
-    kkt[..., 1:] &= 2.0 * alpha * c + 2.0 * beta * S[..., 1:] >= -1e-10 / scale
+    kkt[..., 1:] &= 2.0 * alpha * c + 2.0 * beta * S[..., 1:] >= -1e-10
     obj = np.where(kkt, alpha * (Q + free * x * x) + beta * S * S, np.inf)
     j = np.argmin(obj, axis=-1)[..., None]
     best = np.take_along_axis(obj, j, axis=-1)[..., 0]
     if not np.all(np.isfinite(best)):
         raise OptimizerError("two-parameter quadratic program has no KKT point")
-    if scale > 1.0 and np.any(best > np.finfo(float).max / scale):
-        raise DomainError("two-parameter quadratic program: value beyond the float range")
     t = np.where(np.arange(r) < j, c, np.take_along_axis(x, j, axis=-1))
-    return np.maximum(0.0, best) * scale, t
+    return np.maximum(0.0, best), t
 
 
 def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
@@ -152,9 +148,9 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     F = Phi(max(1, mu)), and DomainError names the family if F is not
     finite; every family has g'(1) = 0, so F is C^1 across the clamp. For
     the two-parameter geodesic family F is the optimal value of the box QP
-    in c = log mu, whose derivative is the KKT multiplier
-    nu = 2*alpha*t + 2*beta*sum(t) (zero on free variables) over mu; it is
-    convex, and the family defined, only for beta > -alpha/r. A spectrum
+    in c = log mu at (a, b) from _unit_scaled, whose derivative is the KKT
+    multiplier nu = 2*a*t + 2*b*sum(t) (zero on free variables) over mu; it
+    is convex, and the family defined, only for beta > -alpha/r. A spectrum
     with any mu <= 0 comes from no positive definite pair: DomainError.
     """
     mu = np.asarray(mu, dtype=float)
@@ -163,10 +159,11 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     if spec.kind == GEODESIC_AB and spec.beta != 0.0:
         if not geodesic_ab_is_distance_check(spec.alpha, spec.beta, mu.shape[-1]):
             _defined(spec, np.nan)  # the one domain rule, as in divergences._objective
-        F, t = _min_quadratic_box(spec.alpha, spec.beta, np.log(mu))
+        a, b, _ = _unit_scaled(spec.alpha, spec.beta)
+        F, t = _min_quadratic_box(a, b, np.log(mu))
         if not with_grad:
             return F
-        nu = 2.0 * spec.alpha * t + 2.0 * spec.beta * np.sum(t, axis=-1, keepdims=True)
+        nu = 2.0 * a * t + 2.0 * b * np.sum(t, axis=-1, keepdims=True)
         return F, nu / mu
     lam = np.maximum(1.0, mu)
     if not with_grad:
@@ -197,15 +194,12 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     if not geodesic_ab_is_distance_check(alpha, beta, m):
         raise DomainError(f"parameter region requires finite alpha > 0 and beta > -alpha/{m}")
     c = np.log(_pencil_from_eig(*eigC, D[:r, :r]))
-    if side == "minus":
-        beta_eff = beta
-    else:
-        # minimizing over the free trailing variables in closed form leaves
-        # an r-variable program with a shrunken coupling coefficient, formed
-        # with beta / max(alpha, |beta|) so that it cannot overflow
-        scale = max(alpha, abs(beta))
-        beta_eff = alpha * (beta / scale) / (alpha / scale + (s - r) * (beta / scale))
-    return float(np.sqrt(_min_quadratic_box(alpha, beta_eff, c)[0]))
+    a, b, scale = _unit_scaled(alpha, beta)
+    if side == "plus" and s > r:
+        # minimizing over the free trailing variables in closed form leaves an
+        # r-variable program with coupling alpha*beta/(alpha + (s - r)*beta)
+        a, b, scale = _unit_scaled(alpha, alpha * b / (a + (s - r) * b))
+    return float(np.sqrt(_min_quadratic_box(a, b, c)[0]) * math.sqrt(scale))
 
 
 # --- optimal representatives -----------------------------------------

@@ -196,7 +196,7 @@ def test_finite_large_beta_is_evaluated(tmp_path, capsys):
 
 
 def test_degenerate_ascent_at_huge_beta_exits_0(tmp_path, capsys):
-    # l = 1: the ascent's first trial steps are singular for LAPACK's solve
+    # l = 1: the ascent works at parameters of size at most 1 at any beta
     a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
     b = write_matrix(tmp_path / "b.psdm", np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
     for beta, root in (("1e30", 1e15), ("1e308", 1e154)):

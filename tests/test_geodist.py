@@ -267,35 +267,60 @@ def test_two_parameter_fiber_outside_its_region_raises():
             ps.gd(C, D, spec(-0.5, mode), budget=2, samples=64)
 
 
-def test_degenerate_ascent_at_huge_beta_rejects_singular_cayley_steps():
-    # l = 1 with a real 3-dimensional tail: at beta >= 1e20 the first trial
-    # steps of the ascent are so long that LAPACK finds I - Omega/2 singular;
-    # such a step is rejected and backtracked, and fiber / sqrt(beta) stays
-    # where beta = 1e12 puts it. From beta = 1e200 on, the norms and slopes of
-    # an unscaled ascent overflow (a RuntimeWarning, fatal here), and at
-    # 1e308 no start would reach a stationary point
+def test_degenerate_ascent_rejects_singular_cayley_steps(monkeypatch):
+    # l = 1 with a real 3-dimensional tail. Under burg:8 on B scaled by 1e4
+    # the first trial steps of the ascent are so long that LAPACK finds
+    # I - Omega/2 singular in the stacked solve; _cayley then solves row by
+    # row, and a step it cannot take is rejected and backtracked
+    solve, stacked_failures = np.linalg.solve, []
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            stacked_failures.append(np.ndim(a) > 2)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
-    B = ps.PsdMatrix(np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
+    B = np.diag([3.0, 0.0, 1.0, 2.0, 0.5])
+    res = ps.gd(A, ps.PsdMatrix(1e4 * B), ps.MetricSpec(GM.GEODESIC, FD.burg(8.0)))
+    assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
+    assert any(stacked_failures)
+    assert abs(res.fiber_term - 1.0253125e34) <= 1e-12 * 1.0253125e34
+    # geoab's objective is formed at parameters of size at most 1, so its
+    # ascent takes no such step, and fiber / sqrt(beta) stays where
+    # beta = 1e12 puts it, up to 1e308
+    del stacked_failures[:]
     for seed in (0, 1):
         values = []
         for beta in (1e12, 1e20, 1e30, 1e100, 1e200, 1e300, 1e308):
-            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1.0, beta)), seed=seed)
+            res = ps.gd(A, ps.PsdMatrix(B), ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1.0, beta)),
+                        seed=seed)
             assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
             values.append(res.fiber_term / math.sqrt(beta))
         assert all(abs(v - values[0]) <= 1e-9 * values[0] for v in values), (seed, values)
+    assert stacked_failures == []
 
 
-def test_scaled_ascent_raises_beyond_the_float_range():
-    # at beta = 1e308 the ascent works on F / 2^1023; an F that cannot be
-    # multiplied back raises DomainError rather than overflowing to inf
-    Cih = ps.geodist._inv_half(np.diag([1.0, 2.0]))
-    D = np.diag([3.0, 1.0, 2.0, 0.5])
-    Ts = ps.geodist._sample_group(np.random.default_rng(0), 3, 4, False)
-    spec = FD.geodesic_ab(1.0, 1e308)
-    F = ps.geodist._ascend(spec, Cih, D, 1, Ts)
-    assert np.isfinite(F).all() and F.max() > 1e308
-    with pytest.raises(ps.DomainError, match="beyond the float range"):
-        ps.geodist._ascend(spec, Cih, 1e3 * D, 1, Ts)
+def test_huge_beta_values_are_finite():
+    # the objective is formed at (alpha, beta) / max(alpha, |beta|) and its
+    # value multiplied by the root of that scale, so any finite spec with
+    # beta != 0 in the region has a finite value: here 1e154 times 2 log 2,
+    # log 15 and log 3
+    geoab = FD.geodesic_ab(1.0, 1e308)
+    assert ps.divergence(geoab, np.eye(2), 2.0 * np.eye(2)) == 1.3862943611198904e154
+    A, B = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0])), ps.PsdMatrix(np.diag([30.0, 1.0, 0.0]))
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, geoab))
+    assert res.mode == "closedForm" and res.fiber_term == 2.7080502011022096e154
+    # alpha / beta underflows to 0: the QP's candidate with no free variable
+    # takes S = A, not 0/0
+    A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
+    for seed in (0, 1):
+        res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(1e-20, 1e308)), seed=seed)
+        assert res.stratum_index == 1
+        assert abs(res.fiber_term / 1e154 - 1.0986122886681) <= 1e-12, seed
 
 
 def test_degenerate_sign_enumeration_is_exact():

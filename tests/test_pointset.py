@@ -209,30 +209,45 @@ def test_qp_minus_side_has_the_region_of_gd():
 
 def test_qp_exact_at_large_beta():
     # S_j = A_j + (r - j) x_j cancelled and alpha + (s - r) beta overflowed:
-    # large beta gave wrong values, "no KKT point" or overflow warnings
-    qp = ps.pointset._min_quadratic_box
+    # large beta gave wrong values, "no KKT point" or overflow warnings. The
+    # program is solved at (a, b) = (alpha, beta) / max(alpha, |beta|)
+    qp, unit = ps.pointset._min_quadratic_box, ps.divergences._unit_scaled
     rng = np.random.default_rng(23)
-    cs = [np.log([3.0, 0.5, 0.5, 0.5])]
+    cs = [np.log([3.0, 0.5, 0.5, 0.5]), np.array([1.0, 1.0])]
     for _ in range(400):
         r = int(rng.integers(2, 7))
         cs.append(np.sort(rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=r))[::-1])
     for c in cs:
-        ref = qp(1.0, 1e12, c)[0]
-        for beta in (1e14, 1e16, 1e30, 1e100, 1e300):
-            got = qp(1.0, beta, c)[0]
+        ref = qp(*unit(1.0, 1e12)[:2], c)[0] * 1e12
+        for beta in (1e14, 1e16, 1e30, 1e100, 1e300, 1e308):
+            a, b, scale = unit(1.0, beta)
+            got = qp(a, b, c)[0]
             # with sum(c) < 0 the optimum keeps free variables and converges
             # as beta grows; otherwise t = c is optimal
-            want = ref if c.sum() < 0.0 else np.sum(c * c) + beta * c.sum() ** 2
+            want = ref / scale if c.sum() < 0.0 else a * np.sum(c * c) + b * c.sum() ** 2
             assert abs(got - want) <= 1e-9 * want, (c, beta)
-    # here t = c is optimal, and its value 2 + 4e308 is beyond the float range
-    with pytest.raises(ps.DomainError, match="float range"):
-        qp(1.0, 1e308, np.array([1.0, 1.0]))
     C, D = np.diag([1.0, 2.0]), np.diag([3.0, 0.5, 1.0, 2.0])
     for side in ("minus", "plus"):
         ref = ps.alpha_beta_pointset(C, D, 1.0, 1e12, side=side)
-        for beta in (1e300, 1e307, 1e308):
-            got = ps.alpha_beta_pointset(C, D, 1.0, beta, side=side)
-            assert abs(got - ref) <= 1e-9 * ref, (side, beta)
+        for k in range(12, 309):
+            got = ps.alpha_beta_pointset(C, D, 1.0, 10.0**k, side=side)
+            assert abs(got - ref) <= 1e-9 * ref, (side, k)
+
+
+def test_qp_at_underflowing_alpha():
+    # alpha / beta = 1e-328 underflows to a = 0; the candidate with no free
+    # variable takes S = A instead of 0/0, so it stays a KKT point
+    C, D = np.eye(2), np.diag([30.0, 5.0, 1.0])
+    minus = ps.alpha_beta_pointset(C, D, 1e-20, 1e308, side="minus")
+    assert abs(minus - math.log(150.0) * 1e154) <= 1e-15 * minus
+    # the plus side's coupling is 1e-20, so its scale is 1e-20
+    plus = ps.alpha_beta_pointset(C, D, 1e-20, 1e308, side="plus")
+    assert plus == 6.266171085555261e-164 * math.sqrt(1e308)
+    # at r = s the plus side has no free variable and no coupling to form
+    D = np.diag([30.0, 5.0])
+    for side in ("minus", "plus"):
+        assert ps.alpha_beta_pointset(C, D, 1e-20, 1e308, side=side) == minus
+
 
 
 def test_qp_prefix_scan_matches_enumeration():
