@@ -7,7 +7,6 @@ from .linalg import (
     PrincipalSystem,
     PsdMatrix,
     Subspace,
-    compact_svd,
     embed_pad,
     fiber_representation,
     hermitian_eig,
@@ -29,20 +28,16 @@ from .pointset import (
     ProjectionWitness,
     alpha_beta_pointset,
     lift_plus,
-    oracle_min_over_omega,
     pointset_minus,
     pointset_plus,
     project_minus,
-    whitening_factor,
 )
 from .geodist import (
     GdResult,
     MetricSpec,
     gd,
     gd_degenerate_fiber,
-    generalized_hausdorff,
     pairwise_gram,
-    representation_set,
 )
 from .geometry import (
     PsdCurve,

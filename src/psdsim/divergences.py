@@ -122,7 +122,8 @@ class FiberDivergence:
 
 
 # per-eigenvalue g(lambda) and g'(lambda) of each family, given log(lambda)
-# and the parameters; the geodesic family's entry is its beta = 0 case
+# and the parameters; the geodesic family's entry is its beta = 0 case at
+# the unit-scaled alpha / alpha = 1 (_unit_scaled)
 _TERMS = {
     AB: (lambda x, log, a, b: np.log((a * x**b + b * x ** (-a)) / (a + b)) / (a * b),
          lambda x, log, a, b: (a * b * x ** (b - 1.0) - a * b * x ** (-a - 1.0))
@@ -136,8 +137,8 @@ _TERMS = {
                     lambda x, log, a, b: log / (x * (1.0 - a * log))),
     KL: (lambda x, log, a, b: 0.5 * (1.0 / x + log - 1.0),
          lambda x, log, a, b: (x - 1.0) / (2.0 * x**2)),
-    GEODESIC_AB: (lambda x, log, a, b: a * log**2,
-                  lambda x, log, a, b: 2.0 * a * log / x),
+    GEODESIC_AB: (lambda x, log, a, b: log**2,
+                  lambda x, log, a, b: 2.0 * log / x),
 }
 
 
@@ -176,9 +177,10 @@ def _objective(spec: FiberDivergence, lam, with_grad=False):
 
     Phi = sum g(lambda) for per-eigenvalue families and a*sum(log^2) +
     b*(sum log)^2, (a, b) from _unit_scaled, for the two-parameter geodesic
-    family, which is defined on m eigenvalues only in its region
-    beta > -alpha/m. With `with_grad`, also returns dPhi/dlambda. Never
-    raises or warns: Phi is not finite where the family is undefined.
+    family (at beta = 0, a = 1: the per-eigenvalue sum of log^2), which is
+    defined on m eigenvalues only in its region beta > -alpha/m. With
+    `with_grad`, also returns dPhi/dlambda. Never raises or warns: Phi is
+    not finite where the family is undefined.
     """
     with np.errstate(all="ignore"):
         if spec.kind == GEODESIC_AB and spec.beta != 0.0:
@@ -209,18 +211,19 @@ def _defined(spec: FiberDivergence, phi):
 
 def _unit_scaled(alpha, beta):
     """(alpha/c, beta/c, c), c = max(alpha, |beta|). The two-parameter geodesic
-    objective is linear in (alpha, beta); at beta != 0 it is always formed at
-    these parameters of size at most 1, and _fiber_values multiplies its value
-    by sqrt(c), so no finite spec overflows there."""
+    objective is linear in (alpha, beta); it is always formed at these
+    parameters of size at most 1, and _fiber_values multiplies its value by
+    sqrt(c), so no finite spec overflows. At c = 1, as for geo, both steps are
+    exact."""
     c = max(alpha, abs(beta))
     return alpha / c, beta / c, c
 
 
 def _fiber_values(spec: FiberDivergence, phi):
-    """Values from objective values: outer exponent, sqrt(c) where
-    _unit_scaled applies, then the bound."""
+    """Values from objective values: outer exponent, sqrt(c) for the
+    two-parameter geodesic family (_unit_scaled), then the bound."""
     vals = np.where(phi > 0.0, phi, 0.0) ** spec.outer_exponent
-    if spec.kind == GEODESIC_AB and spec.beta != 0.0:
+    if spec.kind == GEODESIC_AB:
         vals = vals * math.sqrt(_unit_scaled(spec.alpha, spec.beta)[2])
     return apply_bound(spec, vals)
 

@@ -36,16 +36,6 @@ from .linalg import (
 )
 from .pointset import _spectrum_objective, _spectrum_values
 
-__all__ = [
-    "MetricSpec",
-    "GdResult",
-    "generalized_hausdorff",
-    "representation_set",
-    "gd",
-    "gd_degenerate_fiber",
-    "pairwise_gram",
-]
-
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -89,32 +79,6 @@ class GdResult:
             return "Infinity" if math.isinf(v) else f"{v:.17g}"
 
         return "{" + ", ".join(f'"{k}": {enc(v)}' for k, v in self.to_dict().items()) + "}"
-
-
-# --- generalized Hausdorff functional ---------------------------------
-
-
-def generalized_hausdorff(f, pairs):
-    """max of the two directed sup-inf values over a paired subset.
-
-    `pairs` is a finite iterable of (x, y); the pairing structure is read
-    off by object identity, so reuse the same x object for all its
-    partners. Reduces to f(x, y) on a singleton.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise DomainError("empty pairing set")
-    partners_of_x = {}
-    partners_of_y = {}
-    xs, ys = {}, {}
-    for x, y in pairs:
-        xs[id(x)] = x
-        ys[id(y)] = y
-        partners_of_x.setdefault(id(x), []).append(y)
-        partners_of_y.setdefault(id(y), []).append(x)
-    d1 = max(min(f(xs[kx], y) for y in part) for kx, part in partners_of_x.items())
-    d2 = max(min(f(x, ys[ky]) for x in part) for ky, part in partners_of_y.items())
-    return max(d1, d2)
 
 
 # --- internal: preparation of stacks of aligned fiber pairs -----------
@@ -267,30 +231,6 @@ def _frame_draws(C, D, l, samples, seed):
 def _congruence(G, M):
     """G M G* for a frame or a stack of frames G."""
     return G @ M @ np.swapaxes(G.conj(), -1, -2)
-
-
-def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
-    """Sampled fiber-representation pairs over the principal-basis ambiguity.
-
-    Returns a list of (M_X, M_Y) array pairs: the pairs faithful mode
-    evaluates with `samples=grid` and the same seed. Only the tails of the
-    frames are sampled; the unitary P on the leading rows, which both frames
-    share, cancels from every pencil, so the set covers the part of the
-    ambiguity that moves a value. Pairs of one draw share their array
-    objects, so the list can be fed to generalized_hausdorff directly.
-    """
-    _check_counts(grid=grid)
-    if A.rank > B.rank:
-        A, B = B, A
-    prep = _prepare([A], [B])
-    C, D = prep.fibers(0)
-    r, s, l = C.shape[0], D.shape[0], int(prep.l[0])
-    pairs = []
-    for S, T in _frame_draws(C, D, l, grid, seed):
-        xs = list(_herm(_congruence(_frames(r - l, S, r), C)))
-        ys = list(_herm(_congruence(_frames(r - l, T, s), D)))
-        pairs.extend((x, y) for x in xs for y in ys)
-    return pairs
 
 
 def _conjugated_block_values(spec, F, D, E):

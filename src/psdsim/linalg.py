@@ -1,10 +1,10 @@
 """Field-generic dense Hermitian linear algebra primitives.
 
 Everything downstream (divergences, distances, transport) is built on the
-handful of factorizations here: Hermitian eigendecompositions, compact SVDs,
-principal angles between subspaces and fiber representations of a PSD matrix
-on its range. Real and complex inputs are both supported; real inputs stay
-in real arithmetic throughout.
+handful of factorizations here: Hermitian eigendecompositions, the compact
+factor of a PsdMatrix, principal angles between subspaces and fiber
+representations of a PSD matrix on its range. Real and complex inputs are
+both supported; real inputs stay in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -58,21 +58,6 @@ def hermitian_eig(M):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def compact_svd(A):
-    """SVD truncated to singular values > TOL_RANK * sigma_max.
-
-    Returns (U, s, V) with A ~= U diag(s) V*. A zero matrix yields empty
-    factors (rank 0).
-    """
-    A = _as_array(A)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        k = 0
-    else:
-        k = int(np.count_nonzero(s > TOL_RANK * s[0]))
-    return U[:, :k], s[:k], Vh[:k].conj().T
-
-
 def _eig_power(w, V, p):
     """V diag(w**p) V*, exactly Hermitian, from an eigensystem."""
     return _herm((V * w**p) @ V.conj().T)
@@ -113,9 +98,8 @@ def pencil_spectra(X_invhalf, Y):
     sampled values of `gd` (faithful mode's table of left and right frames
     and the coarse pass of `algorithm1`) take their spectra from here. The
     closed form of `gd` takes sigma(K)^2 instead, and the paths that also
-    need eigenvectors (the degenerate ascent, both sides of the
-    verification oracle, the point-set witnesses) call eigh on F Y F*
-    themselves.
+    need eigenvectors (the degenerate ascent, the point-set witnesses) call
+    eigh on F Y F* themselves.
     """
     r = Y.shape[-1]
     F = X_invhalf.reshape(-1, r, r)
@@ -222,6 +206,9 @@ class Subspace:
         if self.frame.ndim != 2:
             raise DomainError("subspace frame must be a 2-d array")
         F = self.frame
+        # NaN compares false, so the orthonormality test below would let it pass
+        if not np.isfinite(F).all():
+            raise DomainError("subspace frame has non-finite entries")
         if self.r:
             G = F.conj().T @ F
             if np.abs(G - np.eye(self.r)).max() > 1e-10:

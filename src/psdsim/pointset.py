@@ -14,8 +14,7 @@ divergence families the two sides coincide and have the closed form
 which is what pointset_minus / pointset_plus evaluate. The two-parameter
 geodesic family with beta != 0 needs a small quadratic program instead
 (alpha_beta_pointset), where the two sides can differ. project_minus and
-lift_plus construct the optimal representatives, and oracle_min_over_omega
-is an independent brute-force minimizer used for verification.
+lift_plus construct the optimal representatives.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .divergences import (GEODESIC_AB, FiberDivergence, _defined, _fiber_values,
                           _unit_scaled, geodesic_ab_is_distance_check)
 from .errors import DomainError, OptimizerError
 from .linalg import (
-    _descend,
     _eig_power,
     _herm,
     _pencil_from_eig,
@@ -220,36 +218,21 @@ def project_minus(C, D) -> ProjectionWitness:
     return ProjectionWitness(dminus=dminus, lam=lam, Q=V.conj().T)
 
 
-def _whitening(C, D, r, s):
-    """Internal: (Z, lam) with Z D Z* = I_s and lam = lambda(D11^{-1}C) descending."""
-    D11 = D[:r, :r]
-    Dih = psd_power(D11, -0.5)
-    lam, V = hermitian_eig(_herm(Dih @ C @ Dih))
-    P = V.conj().T
-    top = P @ Dih
-    if r == s:
-        return top, lam
-    D12 = D[:r, r:]
-    D22 = D[r:, r:]
-    schur = _herm(D22 - D12.conj().T @ np.linalg.solve(D11, D12))
-    W = psd_power(schur, -0.5)
-    Z = np.zeros((s, s), dtype=np.result_type(C, D))
-    Z[:r, :r] = top
-    Z[r:, :r] = -W @ D12.conj().T @ np.linalg.inv(D11)
-    Z[r:, r:] = W
-    return Z, lam
-
-
-def whitening_factor(C, D) -> np.ndarray:
-    """Block factor Z with Z D Z* = I_s, mapping Omega_plus(C) onto Omega_plus(Sigma)."""
-    C, D, r, s, _ = _check_pair(C, D)
-    return _whitening(C, D, r, s)[0]
-
-
 def lift_plus(C, D) -> LiftWitness:
-    """The unique point of Omega_plus(C) closest to D, for every family."""
+    """The unique point of Omega_plus(C) closest to D, for every family.
+
+    Z is the block factor with Z D Z* = I_s and lam_raw = lambda(D11^{-1}C),
+    descending."""
     C, D, r, s, _ = _check_pair(C, D)
-    Z, lam_raw = _whitening(C, D, r, s)
+    D11, D12 = D[:r, :r], D[:r, r:]
+    Dih = psd_power(D11, -0.5)
+    lam_raw, V = hermitian_eig(_herm(Dih @ C @ Dih))
+    Z = np.zeros((s, s), dtype=np.result_type(C, D))
+    Z[:r, :r] = V.conj().T @ Dih
+    if s > r:
+        W = psd_power(_herm(D[r:, r:] - D12.conj().T @ np.linalg.solve(D11, D12)), -0.5)
+        Z[r:, :r] = -W @ D12.conj().T @ np.linalg.inv(D11)
+        Z[r:, r:] = W
     lam = np.concatenate([np.minimum(1.0, lam_raw), np.ones(s - r)])
     if np.all(lam_raw >= 1.0):
         cplus = D.copy()
@@ -257,112 +240,3 @@ def lift_plus(C, D) -> LiftWitness:
         Zinv = np.linalg.inv(Z)
         cplus = _herm((Zinv * lam) @ Zinv.conj().T)
     return LiftWitness(cplus=cplus, Z=Z, lam=lam)
-
-
-# --- independent verification oracle ---------------------------------
-
-# iteration cap of the descent from each start
-_ORACLE_MAX_ITER = 500
-
-
-def _phi_batch(spec, lam):
-    """Phi and dPhi/dlambda for a (B, r) stack of spectra; +inf with a zero
-    gradient where the family is undefined (lambda <= 0 included)."""
-    phi, dphi = _objective(spec, lam, with_grad=True)
-    bad = ~(np.isfinite(phi) & np.isfinite(dphi).all(axis=-1))
-    phi[bad], dphi[bad] = np.inf, 0.0
-    return phi, dphi
-
-
-def _line(x, p, t):
-    """x + t p: the retraction of a flat parameter space."""
-    return x + t[:, None] * p
-
-
-def _oracle_minus(spec, Cih, D11, budget, seed):
-    """Multi-start descent over X = D11 + L L', L lower triangular."""
-    r = D11.shape[0]
-    rng = np.random.default_rng(seed)
-    rows, cols = np.tril_indices(r)
-    L = np.zeros((max(2, int(budget)), r, r))
-    scale = np.sqrt(max(1.0, np.trace(D11).real / r))
-    for i in range(1, len(L)):
-        G = rng.normal(size=(r, r)) * scale * 10.0 ** rng.uniform(-2, 0.5)
-        L[i, rows, cols] = G[rows, cols]
-
-    def fg(x):
-        L = np.zeros((len(x), r, r))
-        L[:, rows, cols] = x
-        lam, V = np.linalg.eigh(_herm(Cih @ (D11 + L @ np.swapaxes(L, -1, -2)) @ Cih))
-        phi, dphi = _phi_batch(spec, lam)
-        G = Cih @ ((V * dphi[:, None, :]) @ np.swapaxes(V, -1, -2)) @ Cih
-        return phi, 2.0 * (G @ L)[:, rows, cols]
-
-    _, f, _ = _descend(fg, _line, L[:, rows, cols], _ORACLE_MAX_ITER)
-    return float(_fiber_values(spec, f.min()))
-
-
-def _oracle_plus(spec, Chalf, Dih, budget, seed):
-    """Multi-start descent over Y with Y11 <= C, via smooth factors.
-
-    Y11 = C^{1/2} (I + E E')^{-1} C^{1/2} sweeps all PD blocks below C;
-    Y12 = R and the Schur factor F of Y22 = R' Y11^{-1} R + F F' are free.
-    The objective is Phi(1/nu), nu the spectrum of D^{-1/2} Y D^{-1/2}, so
-    its gradient in Y is -D^{-1/2} V diag(Phi'(1/nu)/nu^2) V' D^{-1/2};
-    the chain rule carries it to E, R and F.
-    """
-    r, s = Chalf.shape[0], Dih.shape[0]
-    k = s - r
-    rng = np.random.default_rng(seed)
-    rows, cols = np.tril_indices(k)
-    n_e, n_r = r * r, r * k
-    nvar = n_e + n_r + len(rows)
-    x0 = np.stack([rng.normal(size=nvar) * (0.3 if i else 1e-3)
-                   for i in range(max(2, int(budget)))])
-    # bias the Schur factor away from singularity
-    x0[:, n_e + n_r:] += np.eye(k)[rows, cols]
-
-    def fg(x):
-        m = len(x)
-        E = x[:, :n_e].reshape(m, r, r)
-        R = x[:, n_e:n_e + n_r].reshape(m, r, k)
-        F = np.zeros((m, k, k))
-        F[:, rows, cols] = x[:, n_e + n_r:]
-        Minv = np.linalg.inv(np.eye(r) + E @ np.swapaxes(E, -1, -2))
-        Y11 = Chalf @ Minv @ Chalf
-        S = np.linalg.solve(Y11, R)
-        Rt = np.swapaxes(R, -1, -2)
-        Y = np.block([[Y11, R], [Rt, Rt @ S + F @ np.swapaxes(F, -1, -2)]])
-        nu, V = np.linalg.eigh(_herm(Dih @ Y @ Dih))
-        with np.errstate(all="ignore"):
-            phi, dphi = _phi_batch(spec, 1.0 / nu)
-            phi[nu[:, 0] <= 0.0] = np.inf
-            G = Dih @ ((V * (-dphi / nu**2)[:, None, :]) @ np.swapaxes(V, -1, -2)) @ Dih
-            G11, G12, G22 = G[:, :r, :r], G[:, :r, r:], G[:, r:, r:]
-            SG = S @ G22
-            H = Minv @ Chalf @ (G11 - SG @ np.swapaxes(S, -1, -2)) @ Chalf @ Minv
-            return phi, np.concatenate([(-2.0 * H @ E).reshape(m, -1),
-                                        (2.0 * (G12 + SG)).reshape(m, -1),
-                                        2.0 * (G22 @ F)[:, rows, cols]], axis=1)
-
-    _, f, _ = _descend(fg, _line, x0, _ORACLE_MAX_ITER)
-    return float(_fiber_values(spec, f.min()))
-
-
-def oracle_min_over_omega(spec: FiberDivergence, C, D, side="minus", budget=32, seed=0):
-    """Brute-force minimum of the divergence over the containment set.
-
-    Independent of the closed forms: parameterizes the feasible set
-    directly and runs seeded multi-start local minimization. Real inputs
-    only (the verification suites operate over the reals).
-    """
-    C, D, r, s, eigC = _check_pair(C, D)
-    if np.iscomplexobj(C) or np.iscomplexobj(D):
-        raise DomainError("the oracle supports real inputs only")
-    if max(r, s) > 5:
-        raise DomainError("oracle limited to r, s <= 5 (desk scale)")
-    if side == "minus":
-        return _oracle_minus(spec, _eig_power(*eigC, -0.5), D[:r, :r], budget, seed)
-    if side == "plus":
-        return _oracle_plus(spec, _eig_power(*eigC, 0.5), psd_power(D, -0.5), budget, seed)
-    raise DomainError(f"unknown side {side!r}")

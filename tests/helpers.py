@@ -96,6 +96,24 @@ def rotated_containment_pair(rng, n, r, max_angle=1.2, pencil_lo=1.0, pencil_hi=
     return A, B
 
 
+def degenerate_pair(rng, n, r, s, l, complex_field=False, theta=None):
+    """Ranks r <= s in F^n whose ranges have exactly l right principal angles
+    (the others are `theta`, by default drawn from [0.2, 1.2])."""
+    G = rng.normal(size=(n, n))
+    if complex_field:
+        G = G + 1j * rng.normal(size=(n, n))
+    Q, _ = np.linalg.qr(G)
+    if theta is None:
+        theta = rng.uniform(0.2, 1.2, size=r - l)
+    tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
+    frames = (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]]))
+    mats = []
+    for F in frames:
+        M = (F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.conj().T
+        mats.append(ps.PsdMatrix(0.5 * (M + M.conj().T)))
+    return mats
+
+
 def min_quadratic_box_enumerated(alpha, beta, c):
     """Reference for pointset._min_quadratic_box on one descending c.
 

@@ -438,12 +438,12 @@ def test_transport_target_dimension_must_match_rank(tmp_path, capsys):
     assert code == 3 and out == "" and "dimensions differ: 2 vs 1" in err
 
 
-def test_import_and_oracle_leave_scipy_unloaded():
-    # the package, the CLI and both sides of the verification oracle run on NumPy alone
-    code = ("import sys, numpy as np, psdsim, psdsim.cli\n"
-            "C, D = np.diag([1.0, 2.0]), np.diag([1.5, 0.5, 1.0])\n"
-            "for side in ('minus', 'plus'):\n"
-            "    psdsim.oracle_min_over_omega(psdsim.FiberDivergence.kl(), C, D, side, budget=2)\n"
+def test_import_and_gd_leave_scipy_unloaded():
+    # the package, the CLI and a gd call on a degenerate stratum run on NumPy alone
+    code = ("import sys, numpy as np, psdsim as ps, psdsim.cli\n"
+            "A, B = (ps.PsdMatrix(np.diag(d)) for d in ([1, 2, 0, 0], [3, 0, 1, 2]))\n"
+            "spec = ps.MetricSpec(ps.GrassmannMetric.GEODESIC, ps.FiberDivergence.kl())\n"
+            "assert ps.gd(A, B, spec, budget=2).mode == 'optimizedDegenerate'\n"
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(ps.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

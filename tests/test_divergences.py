@@ -10,6 +10,7 @@ import pytest
 import psdsim as ps
 from psdsim import FiberDivergence as FD
 from helpers import displayed_left_fiber, displayed_right_fiber, family_specs, rand_pd
+from reference import oracle_min_over_omega
 
 
 def test_zero_at_equal_arguments():
@@ -102,7 +103,7 @@ def test_geodesic_family_undefined_outside_its_region():
     C, D = np.diag([1.0, 2.0]), np.diag([1.5, 0.5, 1.0])
     outside = FD.geodesic_ab(1.0, -0.9)
     for side in ("minus", "plus"):
-        assert ps.oracle_min_over_omega(outside, C, D, side, budget=2) == math.inf
+        assert oracle_min_over_omega(outside, C, D, side, budget=2) == math.inf
 
 
 def test_itakura_saito_domain_violation():

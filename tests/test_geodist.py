@@ -1,5 +1,6 @@
 """The headline distance: Hausdorff functional, ambiguity sampling, gd."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     EXAMPLE_A,
     EXAMPLE_B,
     count_calls,
+    degenerate_pair,
     example_pair,
     family_specs,
     rand_frame,
@@ -18,6 +20,7 @@ from helpers import (
     rand_pd,
     rand_psd_rank,
 )
+from reference import generalized_hausdorff, representation_set
 
 GEO_GEO = ps.MetricSpec(GM.GEODESIC, FD.geodesic())
 
@@ -26,7 +29,7 @@ GEO_GEO = ps.MetricSpec(GM.GEODESIC, FD.geodesic())
 
 
 def test_hausdorff_singleton():
-    assert ps.generalized_hausdorff(lambda x, y: abs(x - y), [(1.0, 4.0)]) == 3.0
+    assert generalized_hausdorff(lambda x, y: abs(x - y), [(1.0, 4.0)]) == 3.0
 
 
 def test_hausdorff_full_product_matches_classic():
@@ -34,7 +37,7 @@ def test_hausdorff_full_product_matches_classic():
     xs = [float(v) for v in rng.uniform(0, 10, size=5)]
     ys = [float(v) for v in rng.uniform(0, 10, size=4)]
     f = lambda x, y: abs(x - y)
-    got = ps.generalized_hausdorff(f, [(x, y) for x in xs for y in ys])
+    got = generalized_hausdorff(f, [(x, y) for x in xs for y in ys])
     d1 = max(min(f(x, y) for y in ys) for x in xs)
     d2 = max(min(f(x, y) for x in xs) for y in ys)
     assert got == max(d1, d2)
@@ -45,7 +48,7 @@ def test_hausdorff_asymmetric_bruteforce():
     xs, ys = list(range(3)), list(range(3))
     table = rng.uniform(0, 1, size=(3, 3))
     f = lambda x, y: table[x, y]
-    got = ps.generalized_hausdorff(f, [(x, y) for x in xs for y in ys])
+    got = generalized_hausdorff(f, [(x, y) for x in xs for y in ys])
     want = max(
         max(min(table[x, y] for y in ys) for x in xs),
         max(min(table[x, y] for x in xs) for y in ys),
@@ -55,7 +58,7 @@ def test_hausdorff_asymmetric_bruteforce():
 
 def test_hausdorff_rejects_empty():
     with pytest.raises(ps.DomainError):
-        ps.generalized_hausdorff(lambda x, y: 0.0, [])
+        generalized_hausdorff(lambda x, y: 0.0, [])
 
 
 # --- representation-set sampling --------------------------------------
@@ -65,7 +68,7 @@ def test_representation_set_generic_stratum_is_invariant():
     rng = np.random.default_rng(2)
     A = rand_psd_rank(rng, 6, 2)
     B = rand_psd_rank(rng, 6, 3)
-    pairs = ps.representation_set(A, B, grid=50, seed=0)
+    pairs = representation_set(A, B, grid=50, seed=0)
     vals = [
         ps.pointset.pointset_value_from_spectrum(
             FD.kl(), ps.pencil_eigenvalues(X, Y[:2, :2])
@@ -77,7 +80,7 @@ def test_representation_set_generic_stratum_is_invariant():
 
 def test_representation_set_matches_displayed_family():
     A, B = example_pair()
-    pairs = ps.representation_set(A, B, grid=40, seed=1)
+    pairs = representation_set(A, B, grid=40, seed=1)
     for X, Y in pairs:
         # left representative: unit direction plus a 2x2 rotation of diag(1, 1/2)
         assert abs(X[0, 0] - 1.0) <= 1e-9
@@ -94,7 +97,7 @@ def test_representation_set_full_rank_collapses():
     rng = np.random.default_rng(3)
     A = ps.PsdMatrix(rand_pd(rng, 3))
     B = ps.PsdMatrix(rand_pd(rng, 3))
-    pairs = ps.representation_set(A, B, grid=20, seed=2)
+    pairs = representation_set(A, B, grid=20, seed=2)
     base = ps.pencil_eigenvalues(pairs[0][0], pairs[0][1])
     for X, Y in pairs:
         assert np.abs(ps.pencil_eigenvalues(X, Y) - base).max() <= 1e-9
@@ -102,9 +105,9 @@ def test_representation_set_full_rank_collapses():
 
 def test_representation_set_grid_below_one_raises_domain_error():
     A, B = example_pair()
-    for grid in (0, -5):
+    for grid in (0, -5, 2.5, True):
         with pytest.raises(ps.DomainError, match=">= 1"):
-            ps.representation_set(A, B, grid=grid)
+            representation_set(A, B, grid=grid)
 
 
 # --- the distance ------------------------------------------------------
@@ -323,6 +326,20 @@ def test_huge_beta_values_are_finite():
         assert abs(res.fiber_term / 1e154 - 1.0986122886681) <= 1e-12, seed
 
 
+def test_geodesic_family_at_beta_zero_is_geo_scaled_by_root_alpha():
+    # geoab:alpha,0 is formed at alpha / alpha = 1 too, so alpha = 1e308 no
+    # longer overflows Phi; every path gives geo's value times sqrt(alpha)
+    got = ps.divergence(FD.geodesic_ab(1e308, 0.0), np.eye(2), 4.0 * np.eye(2))
+    assert abs(got - 1e154 * math.sqrt(2.0) * math.log(4.0)) <= 1e-15 * got  # 1.9605e154
+    generic = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0])), ps.PsdMatrix(np.diag([30.0, 1.0, 0.0]))
+    for (A, B), mode in itertools.product((example_pair(), generic), ("algorithm1", "faithful")):
+        geo = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), mode), samples=400)
+        for alpha in (1e308, 2.0, 1e-300):
+            spec = ps.MetricSpec(GM.GEODESIC, FD.geodesic_ab(alpha, 0.0), mode)
+            res = ps.gd(A, B, spec, samples=400)
+            assert res.fiber_term == math.sqrt(alpha) * geo.fiber_term, (mode, alpha)
+
+
 def test_degenerate_sign_enumeration_is_exact():
     # one-dimensional residual group over the reals: only +-1 to try
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0]))
@@ -400,9 +417,6 @@ def test_budget_and_samples_below_one_raise_domain_error():
             for mats in ([A, B], [A]):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.pairwise_gram(mats, spec, **kw)
-    for grid in (2.5, True):
-        with pytest.raises(ps.DomainError, match=">= 1"):
-            ps.representation_set(A, B, grid=grid)
     with pytest.raises(ps.DomainError, match=">= 1"):
         ps.gd_degenerate_fiber(np.eye(2), np.diag([1.0, 2.0, 3.0]), 1, FD.kl(), budget=1.5)
     assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
@@ -636,24 +650,6 @@ def test_two_parameter_degenerate_fiber_applies_bound():
 # --- degenerate-stratum ascent -------------------------------------------
 
 
-def _degenerate_pair(rng, n, r, s, l, complex_field=False, theta=None):
-    """Ranks r <= s in F^n whose ranges have exactly l right principal angles
-    (the others are `theta`, by default drawn from [0.2, 1.2])."""
-    G = rng.normal(size=(n, n))
-    if complex_field:
-        G = G + 1j * rng.normal(size=(n, n))
-    Q, _ = np.linalg.qr(G)
-    if theta is None:
-        theta = rng.uniform(0.2, 1.2, size=r - l)
-    tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
-    frames = (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]]))
-    mats = []
-    for F in frames:
-        M = (F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.conj().T
-        mats.append(ps.PsdMatrix(0.5 * (M + M.conj().T)))
-    return mats
-
-
 def test_worked_example_complex_dtype():
     A = ps.PsdMatrix(EXAMPLE_A.astype(complex))
     B = ps.PsdMatrix(EXAMPLE_B.astype(complex))
@@ -665,7 +661,7 @@ def test_worked_example_complex_dtype():
 
 def test_real_pair_cast_to_complex_agrees():
     rng = np.random.default_rng(22)
-    A, B = _degenerate_pair(rng, 10, 4, 5, 2)
+    A, B = degenerate_pair(rng, 10, 4, 5, 2)
     Ac, Bc = (ps.PsdMatrix(M.entries.astype(complex)) for M in (A, B))
     for fiber in ("geo", "geoab:1,0.25"):
         spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
@@ -677,7 +673,7 @@ def test_real_pair_cast_to_complex_agrees():
 def test_complex_degenerate_pairs_are_evaluated():
     rng = np.random.default_rng(23)
     for r, s, l in ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3)):
-        A, B = _degenerate_pair(rng, 12, r, s, l, complex_field=True)
+        A, B = degenerate_pair(rng, 12, r, s, l, complex_field=True)
         for fiber in ("geo", "kl"):
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber)), budget=2)
             assert res.stratum_index == l and math.isfinite(res.fiber_term)
@@ -710,7 +706,7 @@ def test_ascent_gradient_matches_finite_difference(complex_field, fiber):
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_degenerate_sup_unitary_congruence_invariance(complex_field):
     rng = np.random.default_rng(25)
-    A, B = _degenerate_pair(rng, 8, 3, 5, 2, complex_field)
+    A, B = degenerate_pair(rng, 8, 3, 5, 2, complex_field)
     G = rng.normal(size=(8, 8)) + (1j * rng.normal(size=(8, 8)) if complex_field else 0.0)
     Q, _ = np.linalg.qr(G)
     QA, QB = (ps.PsdMatrix(Q @ M.entries @ Q.conj().T) for M in (A, B))
@@ -742,8 +738,8 @@ def test_faithful_generic_value_is_the_representation_set_value(complex_field):
             A, B = rand_psd_rank(rng, n, r), rand_psd_rank(rng, n, s)
         for fiber in (FD.geodesic(), FD.kl()):
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"))
-            want = ps.generalized_hausdorff(lambda X, Y: ps.pointset_minus(fiber, X, Y).value,
-                                            ps.representation_set(A, B, grid=64))
+            want = generalized_hausdorff(lambda X, Y: ps.pointset_minus(fiber, X, Y).value,
+                                            representation_set(A, B, grid=64))
             assert res.stratum_index == 0
             assert abs(res.fiber_term - want) <= 1e-12 * want, (n, r, s, fiber.kind)
 
@@ -756,7 +752,7 @@ def test_faithful_degenerate_value_is_the_representation_set_value(pair, monkeyp
     if pair == "worked":
         A, B = example_pair()
     elif pair == "complex":
-        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+        A, B = degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
     else:
         # the worked pair with B's range tilted toward A's: principal cosines
         # 1, 1e-8, 1e-8, two right angles at tol_rank 1e-6 but none at 1e-10
@@ -773,9 +769,9 @@ def test_faithful_degenerate_value_is_the_representation_set_value(pair, monkeyp
             monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", chunk_bytes)
             res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
                         samples=samples, seed=seed)
-            want = ps.generalized_hausdorff(
+            want = generalized_hausdorff(
                 lambda X, Y: ps.pointset_minus(fiber, X, Y).value,
-                ps.representation_set(A, B, grid=samples, seed=seed))
+                representation_set(A, B, grid=samples, seed=seed))
             assert res.stratum_index == 2
             assert abs(res.fiber_term - want) <= 1e-12 * want, (pair, fiber.kind, samples)
 
@@ -787,13 +783,13 @@ def test_shared_leading_unitary_cancels_from_the_hausdorff_value(pair):
     # of equal principal cosines (real_run: cosines cos 0.5, cos 0.5, cos 0.9)
     rng = np.random.default_rng(29)
     if pair == "real_run":
-        A, B = _degenerate_pair(rng, 10, 4, 5, 1, theta=np.array([0.5, 0.5, 0.9]))
+        A, B = degenerate_pair(rng, 10, 4, 5, 1, theta=np.array([0.5, 0.5, 0.9]))
     else:
-        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+        A, B = degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
     r, l = A.rank, ps.gd(A, B, GEO_GEO, budget=1).stratum_index
     G = rng.normal(size=(r - l, r - l))
     P, _ = np.linalg.qr(G + 1j * rng.normal(size=G.shape) if pair == "complex" else G)
-    pairs = ps.representation_set(A, B, grid=300, seed=1)
+    pairs = representation_set(A, B, grid=300, seed=1)
     moved = {}
 
     def conjugated(M):  # one new object per old one keeps the pairing
@@ -809,14 +805,14 @@ def test_shared_leading_unitary_cancels_from_the_hausdorff_value(pair):
         def f(X, Y):
             return ps.pointset_minus(fiber, X, Y).value
 
-        want = ps.generalized_hausdorff(f, pairs)
-        assert abs(ps.generalized_hausdorff(f, rotated) - want) <= 1e-12 * want, fiber.kind
+        want = generalized_hausdorff(f, pairs)
+        assert abs(generalized_hausdorff(f, rotated) - want) <= 1e-12 * want, fiber.kind
 
 
 def test_real_sup_is_at_most_the_complex_sup():
     # for real inputs algorithm1 ranges over O(k), a documented choice; over
     # U(k) the sup can be strictly larger. The pair is the ninth draw of
-    # bench/workloads._degenerate_pair(default_rng(5), 12, r, s, l), with
+    # bench/workloads.degenerate_pair(default_rng(5), 12, r, s, l), with
     # (r, s, l) cycling through the shapes below.
     rng = np.random.default_rng(5)
     shapes = ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3), (5, 7, 3), (3, 3, 2), (3, 3, 1))
@@ -854,7 +850,7 @@ def test_faithful_value_does_not_depend_on_the_chunk_size(pair, monkeypatch):
     if pair == "worked":
         A, B = example_pair()
     else:
-        A, B = _degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+        A, B = degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
     default = ps.geodist._CHUNK_BYTES
     for fiber in (FD.geodesic(), ps.parse_divergence("kl+clamp=5")):
         spec = ps.MetricSpec(GM.GEODESIC, fiber, "faithful")

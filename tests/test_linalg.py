@@ -42,25 +42,6 @@ def test_hermitian_eig_rejects_nonhermitian():
         ps.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_compact_svd_zero_matrix():
-    U, s, V = ps.compact_svd(np.zeros((3, 4)))
-    assert s.size == 0 and U.shape == (3, 0) and V.shape == (4, 0)
-
-
-def test_compact_svd_rank_one():
-    x = np.array([3.0, 4.0])
-    y = np.array([1.0, 0.0, 0.0])
-    U, s, V = ps.compact_svd(np.outer(x, y))
-    assert s.shape == (1,)
-    assert abs(s[0] - 5.0) <= 1e-12
-
-
-def test_compact_svd_low_rank_diagonal():
-    U, s, V = ps.compact_svd(EXAMPLE_A)
-    assert np.allclose(np.sort(s)[::-1], [1.0, 1.0, 0.5])
-    assert np.abs((U * s) @ V.T - EXAMPLE_A).max() <= 1e-10
-
-
 def test_psd_power_identity_and_diag():
     assert np.allclose(ps.psd_power(np.eye(3), 0.37), np.eye(3))
     assert np.allclose(ps.psd_power(np.diag([4.0, 1.0]), 0.5), np.diag([2.0, 1.0]))
@@ -142,6 +123,13 @@ def test_psdmatrix_rejects_bad_tolerances(name, bad):
     if name == "tol_rank":  # a Subspace checks its own tol_rank alike
         with pytest.raises(ps.DomainError, match=name):
             ps.Subspace(np.eye(2), tol_rank=bad)
+
+
+def test_subspace_rejects_non_finite_frames():
+    # NaN fails every comparison, so the orthonormality test alone let it through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ps.DomainError, match="non-finite"):
+            ps.Subspace([[1.0, 0.0], [0.0, bad], [0.0, 0.8]])
 
 
 def test_psdmatrix_fields_cannot_be_reassigned():

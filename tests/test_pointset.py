@@ -14,6 +14,7 @@ from helpers import (
     rand_pd,
     rand_psd_rank,
 )
+from reference import _phi_batch, oracle_min_over_omega
 
 
 def rand_pair(rng, r, s, lo=0.5, hi=2.5):
@@ -38,7 +39,7 @@ def test_geodesic_clamps_small_eigenvalues_to_zero_value():
     assert v.value == 0.0
     assert np.allclose(v.clamped_spectrum, [1.0, 1.0])
     # the optimum is confirmed by the independent minimizer
-    assert ps.oracle_min_over_omega(FD.geodesic(), C, D, budget=8) <= 1e-6
+    assert oracle_min_over_omega(FD.geodesic(), C, D, budget=8) <= 1e-6
 
 
 def test_geodesic_unclamped_closed_form():
@@ -46,7 +47,7 @@ def test_geodesic_unclamped_closed_form():
     D = np.diag([4.0, 2.0])
     want = math.sqrt(math.log(4.0) ** 2 + math.log(2.0) ** 2)
     assert abs(ps.pointset_minus(FD.geodesic(), C, D).value - want) <= 1e-12
-    got = ps.oracle_min_over_omega(FD.geodesic(), C, D, budget=16)
+    got = oracle_min_over_omega(FD.geodesic(), C, D, budget=16)
     assert abs(got - want) <= 1e-6
 
 
@@ -80,8 +81,8 @@ def test_minus_equals_plus_and_matches_oracles():
         a = ps.pointset_minus(spec, C, D).value
         b = ps.pointset_plus(spec, C, D).value
         assert a == b
-        om = ps.oracle_min_over_omega(spec, C, D, side="minus", budget=16)
-        op = ps.oracle_min_over_omega(spec, C, D, side="plus", budget=16)
+        om = oracle_min_over_omega(spec, C, D, side="minus", budget=16)
+        op = oracle_min_over_omega(spec, C, D, side="plus", budget=16)
         assert abs(a - om) <= 1e-5 * (1 + abs(om))
         assert abs(a - op) <= 1e-4 * (1 + abs(op))
 
@@ -202,7 +203,7 @@ def test_qp_minus_side_has_the_region_of_gd():
             got = ps.gd(A, ps.PsdMatrix(D), ps.MetricSpec(ps.GrassmannMetric.GEODESIC, spec))
             assert got.stratum_index == 0
             assert abs(got.fiber_term - want) <= 1e-12 * want, (alpha, beta)
-            assert abs(ps.oracle_min_over_omega(spec, C, D, side="minus") - want) <= 1e-8
+            assert abs(oracle_min_over_omega(spec, C, D, side="minus") - want) <= 1e-8
             with pytest.raises(ps.DomainError, match="alpha/4"):
                 ps.alpha_beta_pointset(C, D, alpha, beta, side="plus")
 
@@ -331,7 +332,7 @@ def test_projection_witness_invariants_and_optimality():
 def test_whitening_of_identity_target():
     rng = np.random.default_rng(12)
     C = rand_pd(rng, 2)
-    Z = ps.whitening_factor(C, np.eye(4))
+    Z = ps.lift_plus(C, np.eye(4)).Z
     assert np.abs(Z @ np.eye(4) @ Z.T - np.eye(4)).max() <= 1e-9
     assert np.abs(Z[2:, :2]).max() <= 1e-12  # no coupling block
     assert np.abs(Z[2:, 2:] - np.eye(2)).max() <= 1e-12
@@ -343,14 +344,14 @@ def test_whitening_residual_random():
         r = int(rng.integers(1, 4))
         s = int(rng.integers(r, 5))
         C, D = rand_pair(rng, r, s)
-        Z = ps.whitening_factor(C, D)
+        Z = ps.lift_plus(C, D).Z
         assert np.abs(Z @ D @ Z.T - np.eye(s)).max() <= 1e-9
 
 
 def test_whitening_coupling_block_small_case():
     C = np.eye(1)
     D = np.array([[4.0, 1.0], [1.0, 1.0]])
-    Z = ps.whitening_factor(C, D)
+    Z = ps.lift_plus(C, D).Z
     W = (1.0 - 1.0 / 4.0) ** -0.5
     assert abs(Z[1, 0] - (-W * 1.0 / 4.0)) <= 1e-12
     assert abs(Z[1, 1] - W) <= 1e-12
@@ -419,23 +420,15 @@ def test_oracle_guardrails():
     rng = np.random.default_rng(16)
     C, D = rand_pd(rng, 6), rand_pd(rng, 6)
     with pytest.raises(ps.DomainError):
-        ps.oracle_min_over_omega(FD.kl(), C, D)
+        oracle_min_over_omega(FD.kl(), C, D)
     with pytest.raises(ps.DomainError):
-        ps.oracle_min_over_omega(FD.kl(), np.eye(2), np.eye(3), side="sideways")
+        oracle_min_over_omega(FD.kl(), np.eye(2), np.eye(3), side="sideways")
 
 
 def test_eigendecomposition_counts(monkeypatch):
     # each entry point decomposes C and D once (the validation) and its own
     # pencil once; lift_plus adds the D11 and Schur-complement powers
-    counts = {"n": 0}
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, **kwargs):
-            counts["n"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    counts = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
     rng = np.random.default_rng(20)
     C, D = rand_pd(rng, 2), rand_pd(rng, 4)
     calls = {
@@ -459,15 +452,15 @@ def test_oracle_two_parameter_minus_matches_qp():
             spec = FD.geodesic_ab(1.5, beta)
             want = ps.alpha_beta_pointset(C, D, 1.5, beta, side="minus")
             assert want > 0.0
-            got = ps.oracle_min_over_omega(spec, C, D, side="minus")
+            got = oracle_min_over_omega(spec, C, D, side="minus")
             assert abs(got - want) <= 1e-8, (r, s, beta)
 
 
 def _descent_calls(monkeypatch, wrap):
     """Run the oracle's descents with each objective-gradient map fg
     replaced by wrap(fg)."""
-    descend = ps.pointset._descend
-    monkeypatch.setattr(ps.pointset, "_descend",
+    descend = ps.linalg._descend
+    monkeypatch.setattr("reference._descend",
                         lambda fg, retract, X, max_iter: descend(wrap(fg), retract, X, max_iter))
 
 
@@ -487,7 +480,7 @@ def test_oracle_plus_decomposes_each_candidate_once(monkeypatch):
 
     _descent_calls(monkeypatch, wrap)
     C, D = np.diag([1.0, 2.0]), rand_pd(np.random.default_rng(26), 4)
-    ps.oracle_min_over_omega(FD.kl(), C, D, side="plus", budget=4)
+    oracle_min_over_omega(FD.kl(), C, D, side="plus", budget=4)
     assert per_call and max(per_call) <= 2
 
 
@@ -504,7 +497,7 @@ def test_oracle_gradients_match_central_differences(monkeypatch):
             C, D = rand_pair(rng, r, s)
             for side in ("minus", "plus"):
                 seen.clear()
-                ps.oracle_min_over_omega(spec, C, D, side=side, budget=2, seed=1)
+                oracle_min_over_omega(spec, C, D, side=side, budget=2, seed=1)
                 fg = seen[0]
                 n = {"minus": r * (r + 1) // 2, "plus": r * s + (s - r) * (s - r + 1) // 2}[side]
                 x = 0.5 * rng.normal(size=n)
@@ -531,7 +524,7 @@ def test_oracle_plus_overflow_stays_silent():
         D = 3.0 * G @ G.T + 0.3 * np.eye(s)
     assert (r, s) == (1, 4)
     spec = FD.burg(0.7)
-    got = ps.oracle_min_over_omega(spec, C, D, side="plus", budget=8, seed=7)
+    got = oracle_min_over_omega(spec, C, D, side="plus", budget=8, seed=7)
     want = ps.pointset_plus(spec, C, D).value
     assert abs(got - want) <= 1e-10 * want
 
@@ -540,7 +533,7 @@ def test_phi_batch_masks_exactly_the_rows_outside_the_domain():
     # Itakura-Saito at alpha = 1 needs log(lambda) < 1 on every entry
     spec = FD.itakura_saito(1.0)
     lam = np.array([[2.0, 0.5], [4.0, 1.0], [1.5, 1.2], [0.2, 0.0], [1.1, 0.3]])
-    phi, dphi = ps.pointset._phi_batch(spec, lam)
+    phi, dphi = _phi_batch(spec, lam)
     bad = np.array([False, True, False, True, False])
     assert np.all(np.isinf(phi[bad])) and np.all(dphi[bad] == 0.0)
     for row, p, d in zip(lam[~bad], phi[~bad], dphi[~bad]):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import psdsim as ps
 from psdsim import GrassmannMetric as GM
+from helpers import degenerate_pair
 
 FIBERS = ("geo", "kl", "geoab:1,0.25", "ab:0.5,0.5+sym", "is:0.5")
 
@@ -108,6 +109,35 @@ def test_degenerate_sup_symmetric_across_unequal_ranks(pair, grassmann):
 @given(unequal_rank_pairs(0, 3), st.sampled_from(list(GM)))
 def test_faithful_symmetric_across_unequal_ranks(pair, grassmann):
     _symmetric_across_ranks(pair, grassmann, "faithful", "faithfulSampled")
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """A random real or complex pair of ranks r <= s whose ranges have
+    l >= 1 right principal angles, with a tail of k = s - r + l <= 8 rows,
+    and a per-eigenvalue fiber divergence."""
+    r = draw(st.integers(1, 4))
+    l = draw(st.integers(1, r))
+    s = draw(st.integers(r, r + 8 - l))
+    complex_field = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B = degenerate_pair(rng, r + s, r, s, l, complex_field)
+    return A, B, l, ps.parse_divergence(draw(st.sampled_from(("geo", "kl", "stein:0.5"))))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(degenerate_pairs())
+def test_degenerate_values_stay_below_the_spectral_bound(pair):
+    # every tail pairs C = P* diag(wA) P with a compression of D = Qh diag(wB) Qh*,
+    # so no pencil value, sup or max-min exceeds U = Phi(wB[:r] / wA[::-1]): B's
+    # largest eigenvalues over A's smallest
+    A, B, l, fiber = pair
+    wA, wB = A.compact_factors()[1], B.compact_factors()[1]
+    bound = float(ps.pointset._spectrum_values(fiber, wB[: len(wA)] / wA[::-1]))
+    for mode in ("algorithm1", "faithful"):
+        res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, mode), samples=2000)
+        assert res.stratum_index == l
+        assert res.fiber_term <= bound * (1.0 + 1e-12), (mode, res.fiber_term, bound)
 
 
 @st.composite
