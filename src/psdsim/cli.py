@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Machine output (JSON, CSV, matrix blocks) goes to stdout; diagnostics go
-to stderr. Exit codes: 0 success, 2 parse error, 3 domain error,
-4 optimizer failure.
+to stderr. Exit codes: 0 success, 2 parse error (an unreadable input or
+an unwritable output included), 3 domain error, 4 optimizer failure.
 """
 
 from __future__ import annotations
@@ -90,8 +90,11 @@ def cmd_pairwise(args):
         lines.append(",".join(_csv_num(v) for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
     return 0

@@ -34,7 +34,7 @@ from .linalg import (
     check_hermitian,
     pencil_spectra,
 )
-from .pointset import _spectrum_objective, _spectrum_values
+from .pointset import _defined_on_box, _spectrum_objective, _spectrum_values
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,9 @@ def _frame_draws(C, D, l, samples, seed):
     S and an (n_t, k, k) stack of T, k = s - r + l (_frames builds the
     frames with P = I). The draws hold about `samples` pairs (G, H):
     n_s = 1 at l = 0, where S is empty, and n_s ~ n_t ~ sqrt(samples / 4)
-    otherwise.
+    otherwise. Faithful mode's value is the max-min of the 4 tables of
+    pencil values over these pairs; _faithful_fiber evaluates only the
+    entries that decide it, unless the family's domain forces all of them.
     """
     r, s = C.shape[0], D.shape[0]
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
@@ -247,23 +249,133 @@ def _conjugated_block_values(spec, F, D, E):
                            for i in range(0, len(F), rows)])
 
 
+# the smallest entries of each identity row whose tails T[:l] become the
+# targets that seed faithful mode's branch and bound (_faithful_fiber)
+_TARGETS = 8
+
+
+def _entry_values(spec, F, Y, i, j):
+    """Values of the table entries (F[i[e]], Y[j[e]]) of _conjugated_block_values.
+
+    The same arithmetic as pencil_spectra, on gathered stacks: F Y, then
+    (F Y) F*, then eigvalsh and the value map, in chunks of entries whose
+    gathered factors and Ys together fit _CHUNK_BYTES. Each entry is bit
+    for bit its value in the full table.
+    """
+    out = np.empty(len(i))
+    step = max(1, _CHUNK_BYTES // (2 * F[0].nbytes))
+    for c in range(0, len(i), step):
+        Fc = F[i[c:c + step]]
+        W = (Fc @ Y[j[c:c + step]]) @ np.swapaxes(Fc.conj(), -1, -2)
+        out[c:c + step] = _spectrum_values(spec, np.linalg.eigvalsh(_herm(W))[..., ::-1])
+    return out
+
+
+def _nearest(queries, points):
+    """(draws, n, m) indices of the points nearest each query, by the largest
+    real inner product Re tr(q* p), for queries (draws, n, m, ...) and points
+    (draws, n', ...) of the same trailing shape; a query looks only among the
+    points of its own draw. Each (rows, m, n') block of scores fits
+    _CHUNK_BYTES.
+    """
+    def flat(X):
+        X = X.reshape(X.shape[:-2] + (-1,))
+        return np.concatenate([X.real, X.imag], axis=-1) if np.iscomplexobj(X) else X
+
+    q, p = flat(queries), flat(points)
+    draws, n, m, _ = q.shape
+    out = np.empty((draws, n, m), dtype=int)
+    step = max(1, _CHUNK_BYTES // (m * p.shape[1] * 8))
+    for d in range(draws):
+        for c in range(0, n, step):
+            out[d, c:c + step] = np.argmax(q[d, c:c + step] @ p[d].T, axis=-1)
+    return out
+
+
 def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
-    """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
+    """Max-min fiber value over the sampled ambiguity group (l >= 1).
 
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
     pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
-    = E D E* with E = H[:r]. Each of the 4 draws is one (n_s, n_t) table of
-    pencil values (_conjugated_block_values).
+    = E D E* with E = H[:r]. Each of the 4 draws spans an (n_s, n_t) table
+    of pencil values over its left and right frames, the table of
+    _conjugated_block_values, and the value is the largest min of a row or
+    a column of the 4 tables: the max-min of the full tables, bit for bit.
+
+    Only the entries that can decide it are evaluated, by an exact branch
+    and bound. Each row and column keeps the min of its evaluated entries,
+    an upper bound on its min, and L, the largest min of a completed row or
+    column, is a lower bound on the value. A row or column whose bound is
+    at most L cannot raise L and closes. The open ones of largest bound are
+    completed, one in the first round and twice as many in each next, until
+    none is open; L is then the value. Good bounds come early because an
+    entry depends on the tails (S, T) only through X = S* T[:l]: the
+    identity rows (S = I, drawn first) are completed, the tails T[:l] of
+    each one's _TARGETS smallest entries become the targets X of its draw,
+    and each row i is seeded with its columns nearest S_i X, each column j
+    with its rows nearest T_j[:l] X*.
+
+    Every pencil of a table lies in [min wD / max wC, max wD / min wC], w
+    the eigenvalues, because Y compresses D. Entries are skipped only if
+    the family is certified defined on that box (pointset._defined_on_box);
+    otherwise every entry is evaluated, so an undefined pencil raises
+    DomainError as the full tables do.
     """
     r = C.shape[0]
     Cih = _inv_half(C)
-    d1 = d2 = -np.inf
-    for S, T in _frame_draws(C, D, l, samples, seed):
-        F = Cih @ np.swapaxes(_frames(r - l, S, r).conj(), -1, -2)
-        vals = _conjugated_block_values(spec, F, D, _frames(r - l, T, r))
-        d1 = max(d1, float(vals.min(axis=1).max()))
-        d2 = max(d2, float(vals.min(axis=0).max()))
-    return max(d1, d2)
+    S, T = (np.stack(x) for x in zip(*_frame_draws(C, D, l, samples, seed)))
+    n_d, n_s, n_t = len(S), S.shape[1], T.shape[1]
+    F = Cih @ np.swapaxes(_frames(r - l, S.reshape(n_d * n_s, l, l), r).conj(), -1, -2)
+    E = _frames(r - l, T.reshape((n_d * n_t,) + T.shape[2:]), r)
+    wC, wD = np.linalg.eigvalsh(C), np.linalg.eigvalsh(D)
+    if not _defined_on_box(spec, wD[0] / wC[-1], wD[-1] / wC[0], r):
+        vals = np.stack([_conjugated_block_values(spec, Fd, D, Ed)
+                         for Fd, Ed in zip(np.split(F, n_d), np.split(E, n_d))])
+        return float(max(vals.min(axis=2).max(), vals.min(axis=1).max()))
+
+    Y, X = _congruence(E, D), T[:, :, :l]
+    # lines are the rows q = d n_s + i, then the columns R + d n_t + j
+    R = n_d * n_s
+    ub = np.full(R + n_d * n_t, np.inf)
+    todo = np.repeat([n_t, n_s], [R, n_d * n_t])  # entries not yet evaluated
+    known = np.zeros(R * n_t, dtype=bool)
+
+    def entries(d, i, j):
+        """Flat indices of the entries (d, i, j), broadcast."""
+        return ((d * n_s + i) * n_t + j).ravel()
+
+    def fill(e):
+        """Evaluate the new entries among flat indices e; their values, in
+        ascending order of index."""
+        e = np.unique(e)
+        e = e[~known[e]]
+        q = e // n_t
+        c = q // n_s * n_t + e % n_t
+        v = _entry_values(spec, F, Y, q, c)
+        known[e] = True
+        np.minimum.at(ub, q, v)
+        np.minimum.at(ub, R + c, v)
+        todo[:R] -= np.bincount(q, minlength=R)
+        todo[R:] -= np.bincount(c, minlength=len(ub) - R)
+        return v
+
+    d, i, j = np.arange(n_d)[:, None, None], np.arange(n_s), np.arange(n_t)
+    v = fill(entries(d[:, 0], 0, j)).reshape(n_d, n_t)
+    targets = X[d[:, 0], np.argsort(v, axis=1)[:, :_TARGETS]][:, None]  # (n_d, 1, m, l, k)
+    cols = _nearest(S[:, :, None] @ targets, X)  # (n_d, n_s, m)
+    rows = _nearest(X[:, :, None] @ np.swapaxes(targets.conj(), -1, -2), S)  # (n_d, n_t, m)
+    fill(np.concatenate([entries(d, i[:, None], cols), entries(d, rows, j[:, None])]))
+
+    width = 1
+    while True:
+        L = ub[todo == 0].max(initial=-np.inf)
+        open_ = np.flatnonzero((todo > 0) & (ub > L))
+        if not open_.size:
+            return float(L)
+        take = open_[np.argsort(-ub[open_], kind="stable")[:width]]
+        width *= 2
+        dc, jc = np.divmod(take[take >= R, None] - R, n_t)
+        fill(np.concatenate([entries(0, take[take < R, None], j), entries(dc, i, jc)]))
 
 
 # --- degenerate-stratum optimizer -------------------------------------

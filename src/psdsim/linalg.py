@@ -95,8 +95,10 @@ def pencil_spectra(X_invhalf, Y):
     factor's row of (F Y) F* one product of an (n r) x r by an r x r
     matrix, so a stack of factors gives, bit for bit, the spectra of one
     call per factor. `pencil_eigenvalues`, the point-set values and the
-    sampled values of `gd` (faithful mode's table of left and right frames
-    and the coarse pass of `algorithm1`) take their spectra from here. The
+    sampled values of `gd` (the coarse pass of `algorithm1`, and faithful
+    mode's full tables where the domain forces every entry) take their
+    spectra from here; faithful mode's branch and bound runs the same
+    arithmetic on gathered stacks of pairs (geodist._entry_values). The
     closed form of `gd` takes sigma(K)^2 instead, and the paths that also
     need eigenvectors (the degenerate ascent, the point-set witnesses) call
     eigh on F Y F* themselves.

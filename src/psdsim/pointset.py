@@ -170,6 +170,27 @@ def _spectrum_objective(spec: FiberDivergence, mu, with_grad=False):
     return _defined(spec, F), np.where(mu > 1.0, dF, 0.0)
 
 
+def _defined_on_box(spec: FiberDivergence, lo, hi, r):
+    """Whether F is certified finite on every spectrum in [lo, hi]^r; never
+    where the box reaches 0, whose spectra F rejects.
+
+    F sees max(1, mu), and each per-eigenvalue term g is defined on an
+    interval around 1 and increases above 1, so F is largest, and a
+    non-finite F first shows, at the spectrum (hi, ..., hi). The
+    two-parameter geodesic family is defined on its region for every
+    positive spectrum. The box is widened by 1e-10 hi on both sides, far
+    beyond the rounding of a computed pencil spectrum inside it.
+    """
+    pad = 1e-10 * hi
+    if not lo - pad > 0.0:
+        return False
+    try:
+        _spectrum_objective(spec, np.array([[hi + pad] * r, [lo - pad] * r]))
+    except (DomainError, OptimizerError):
+        return False
+    return True
+
+
 def _spectrum_values(spec: FiberDivergence, mu):
     """Values of stacked descending pencil spectra: F, then the outer exponent
     and the bound. Every closed form and sampled pencil in `gd` maps here."""

@@ -3,14 +3,17 @@ library path calls them. `oracle_min_over_omega` minimizes over a
 containment set by brute force, independently of the closed forms.
 `representation_set` and `generalized_hausdorff` write faithful mode's
 sampled stage out in full: the pairs `gd` draws, and the max-min over them.
+`faithful_fiber` is that max-min read off the full value tables of the draws,
+every entry evaluated.
 """
 
 import numpy as np
 
 from psdsim.divergences import FiberDivergence, _fiber_values, _objective
 from psdsim.errors import DomainError
-from psdsim.geodist import _check_counts, _congruence, _frame_draws, _frames, _prepare
-from psdsim.linalg import PsdMatrix, _descend, _eig_power, _herm, psd_power
+from psdsim.geodist import (_check_counts, _congruence, _conjugated_block_values, _frame_draws,
+                            _frames, _prepare)
+from psdsim.linalg import PsdMatrix, _descend, _eig_power, _herm, _inv_half, psd_power
 from psdsim.pointset import _check_pair
 
 
@@ -59,6 +62,25 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
         ys = list(_herm(_congruence(_frames(r - l, T, s), D)))
         pairs.extend((x, y) for x in xs for y in ys)
     return pairs
+
+
+def faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
+    """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
+
+    A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
+    pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
+    = E D E* with E = H[:r]. Each of the 4 draws is one (n_s, n_t) table of
+    pencil values (_conjugated_block_values).
+    """
+    r = C.shape[0]
+    Cih = _inv_half(C)
+    d1 = d2 = -np.inf
+    for S, T in _frame_draws(C, D, l, samples, seed):
+        F = Cih @ np.swapaxes(_frames(r - l, S, r).conj(), -1, -2)
+        vals = _conjugated_block_values(spec, F, D, _frames(r - l, T, r))
+        d1 = max(d1, float(vals.min(axis=1).max()))
+        d2 = max(d2, float(vals.min(axis=0).max()))
+    return max(d1, d2)
 
 
 # --- independent verification oracle ---------------------------------

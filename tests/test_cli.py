@@ -296,6 +296,16 @@ def test_pairwise_directory_symmetric_csv(tmp_path, capsys):
     assert np.allclose(np.diag(rows), 0.0)
 
 
+def test_pairwise_unwritable_out_exits_2(tmp_path, capsys):
+    # like an unreadable input: a one-line error, no traceback, nothing on stdout
+    a = write_matrix(tmp_path / "a.psdm", np.eye(2))
+    target = tmp_path / "missing" / "gram.csv"
+    code, out, err = run_cli(capsys, "pairwise", "--inputs", a, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_martin_infinity_in_json_and_csv(tmp_path, capsys):
     # a right principal angle: dist writes bare Infinity, pairwise writes inf
     a = write_matrix(tmp_path / "a.psdm", np.diag([1.0, 1.0, 0.0]))

@@ -20,7 +20,7 @@ from helpers import (
     rand_pd,
     rand_psd_rank,
 )
-from reference import generalized_hausdorff, representation_set
+from reference import faithful_fiber, generalized_hausdorff, representation_set
 
 GEO_GEO = ps.MetricSpec(GM.GEODESIC, FD.geodesic())
 
@@ -861,6 +861,55 @@ def test_faithful_value_does_not_depend_on_the_chunk_size(pair, monkeypatch):
             got = ps.gd(A, B, spec, samples=samples, seed=5)
             assert want.stratum_index == 2
             assert got.to_json() == want.to_json(), (pair, fiber.kind, samples)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monkeypatch):
+    # at 1e5 samples the 4 tables hold 4 x 158 x 158 = 99,856 entries; the
+    # branch and bound returns their max-min bit for bit from a fifth of them
+    A, B = example_pair()
+    C, D = ps.geodist._prepare([A], [B]).fibers(0)
+    entries = {"n": 0}
+    evaluate = ps.geodist._entry_values
+
+    def counted(spec, F, Y, i, j):
+        entries["n"] += len(i)
+        return evaluate(spec, F, Y, i, j)
+
+    monkeypatch.setattr(ps.geodist, "_entry_values", counted)
+    for fiber in (FD.geodesic(), ps.parse_divergence("kl+clamp=5")):
+        entries["n"] = 0
+        res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
+                    samples=100_000, seed=seed)
+        assert res.fiber_term == faithful_fiber(C, D, 2, fiber, 100_000, seed), fiber.kind
+        assert 0 < entries["n"] <= 0.2 * 99_856, (fiber.kind, entries["n"])
+
+
+@pytest.mark.parametrize("pair_seed, alpha, raises", [(2, 5.0919, True), (4, 7.7779, False)])
+def test_faithful_evaluates_every_entry_unless_the_domain_is_certified(
+        pair_seed, alpha, raises, monkeypatch):
+    # the pencil box [min wD / max wC, max wD / min wC] straddles the edge
+    # e^(1/alpha) of is:alpha, so every entry is evaluated. In the first pair
+    # pencils past the edge lie only outside the identity rows, where a
+    # branch and bound would skip them and return a number; in the second
+    # no sampled pencil passes it.
+    fiber = FD.itakura_saito(alpha)
+    spec = ps.MetricSpec(GM.GEODESIC, fiber, "faithful")
+    A, B = degenerate_pair(np.random.default_rng(pair_seed), 6, 3, 3, 2, complex_field=True)
+    C, D = ps.geodist._prepare([A], [B]).fibers(0)
+    wC, wD = np.linalg.eigvalsh(C), np.linalg.eigvalsh(D)
+    assert wD[0] / wC[-1] < math.exp(1.0 / alpha) < wD[-1] / wC[0]
+    if raises:
+        with pytest.raises(ps.DomainError) as want:
+            faithful_fiber(C, D, 2, fiber, 2000, 0)
+        with pytest.raises(ps.DomainError) as got:
+            ps.gd(A, B, spec, samples=2000)
+        assert str(got.value) == str(want.value)
+        monkeypatch.setattr(ps.geodist, "_defined_on_box", lambda *args: True)
+        assert math.isfinite(ps.gd(A, B, spec, samples=2000).fiber_term)
+    else:
+        res = ps.gd(A, B, spec, samples=2000)
+        assert res.fiber_term == faithful_fiber(C, D, 2, fiber, 2000, 0)
 
 
 def test_faithful_degenerate_decomposes_c_once(monkeypatch):

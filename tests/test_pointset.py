@@ -1,5 +1,6 @@
 """Cross-dimensional point-set values, optimal representatives, oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -539,3 +540,30 @@ def test_phi_batch_masks_exactly_the_rows_outside_the_domain():
     for row, p, d in zip(lam[~bad], phi[~bad], dphi[~bad]):
         want_p, want_d = ps.divergences._objective(spec, row, with_grad=True)
         assert p == want_p and np.array_equal(d, want_d)
+
+
+def test_a_certified_box_holds_no_undefined_spectrum():
+    # every spectrum in a box _defined_on_box certifies has a finite value:
+    # descending draws, log-uniform in the box, and its two corners
+    rng = np.random.default_rng(32)
+    specs = family_specs() + [spec.with_sym() for spec in family_specs()]
+    specs += [FD.geodesic_ab(1.0, 0.25), FD.geodesic_ab(1.0, -0.4)]
+    edges = (1e-300, 1e-6, 0.1, 0.5, 1.0, 2.0, 7.38, 7.4, 30.0, 1e3, 1e100, 1e300)
+    certified = 0
+    for spec in specs:
+        for r in (1, 2, 3):
+            for lo, hi in itertools.combinations(edges, 2):
+                if not ps.pointset._defined_on_box(spec, lo, hi, r):
+                    continue
+                certified += 1
+                mu = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(100, r)))
+                mu = np.concatenate([-np.sort(-mu, axis=1), [[hi] * r, [lo] * r]])
+                assert np.isfinite(ps.pointset._spectrum_values(spec, mu)).all(), (spec, lo, hi)
+    assert certified > len(specs) * 30
+    # the rule is not vacuous: is:0.5 is undefined from e^2 = 7.389 on, and
+    # geoab:1,-0.4 on three eigenvalues, outside its region beta > -alpha/3
+    box = ps.pointset._defined_on_box
+    assert box(FD.itakura_saito(0.5), 0.5, 7.38, 3) and not box(FD.itakura_saito(0.5), 0.5, 7.4, 3)
+    assert box(FD.geodesic_ab(1.0, -0.4), 0.5, 2.0, 2)
+    assert not box(FD.geodesic_ab(1.0, -0.4), 0.5, 2.0, 3)
+    assert not box(FD.geodesic(), 0.0, 2.0, 3) and not box(FD.geodesic(), 1e-11, 1.0, 3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import psdsim as ps
 from psdsim import GrassmannMetric as GM
 from helpers import degenerate_pair
+from reference import faithful_fiber
 
 FIBERS = ("geo", "kl", "geoab:1,0.25", "ab:0.5,0.5+sym", "is:0.5")
 
@@ -66,23 +67,15 @@ def test_closed_form_padding(pair, pad_a, pad_b):
 @st.composite
 def unequal_rank_pairs(draw, l_min, l_max):
     """A random real or complex pair of ranks r < s in C^(r+s) whose ranges
-    have l right principal angles, l_min <= l <= min(l_max, r), a fiber
-    divergence and the generator. range(A) = span(q_0..q_{r-1}); range(B)
-    holds r - l vectors tilted from q_0..q_{r-l-1} and s - r + l directions
-    outside range(A)."""
+    have l right principal angles, l_min <= l <= min(l_max, r)
+    (helpers.degenerate_pair), then l and a fiber divergence."""
     r = draw(st.integers(max(1, l_min), 3))
     s = draw(st.integers(r + 1, 4))
     l = draw(st.integers(l_min, min(l_max, r)))
     complex_field = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    Q = _unitary(rng, r + s, complex_field)
-    theta = rng.uniform(0.2, 1.2, size=r - l)
-    tilted = Q[:, : r - l] * np.cos(theta) + Q[:, r : 2 * r - l] * np.sin(theta)
-    mats = []
-    for F in (Q[:, :r], np.hstack([tilted, Q[:, 2 * r - l : r + s]])):
-        M = (F * rng.uniform(0.5, 2.0, size=F.shape[1])) @ F.conj().T
-        mats.append(ps.PsdMatrix(0.5 * (M + M.conj().T)))
-    return mats[0], mats[1], l, ps.parse_divergence(draw(st.sampled_from(FIBERS)))
+    A, B = degenerate_pair(rng, r + s, r, s, l, complex_field)
+    return A, B, l, ps.parse_divergence(draw(st.sampled_from(FIBERS)))
 
 
 def _symmetric_across_ranks(pair, grassmann, mode, expected):
@@ -112,21 +105,21 @@ def test_faithful_symmetric_across_unequal_ranks(pair, grassmann):
 
 
 @st.composite
-def degenerate_pairs(draw):
-    """A random real or complex pair of ranks r <= s whose ranges have
-    l >= 1 right principal angles, with a tail of k = s - r + l <= 8 rows,
-    and a per-eigenvalue fiber divergence."""
+def degenerate_pairs(draw, k_max, fibers):
+    """A random real or complex pair of ranks r <= 4 and s whose ranges have
+    l >= 1 right principal angles, with a tail of k = s - r + l <= k_max
+    rows, then l and a fiber divergence from `fibers`."""
     r = draw(st.integers(1, 4))
     l = draw(st.integers(1, r))
-    s = draw(st.integers(r, r + 8 - l))
+    s = draw(st.integers(r, r + k_max - l))
     complex_field = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A, B = degenerate_pair(rng, r + s, r, s, l, complex_field)
-    return A, B, l, ps.parse_divergence(draw(st.sampled_from(("geo", "kl", "stein:0.5"))))
+    return A, B, l, ps.parse_divergence(draw(st.sampled_from(fibers)))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(degenerate_pairs())
+@given(degenerate_pairs(8, ("geo", "kl", "stein:0.5")))
 def test_degenerate_values_stay_below_the_spectral_bound(pair):
     # every tail pairs C = P* diag(wA) P with a compression of D = Qh diag(wB) Qh*,
     # so no pencil value, sup or max-min exceeds U = Phi(wB[:r] / wA[::-1]): B's
@@ -138,6 +131,19 @@ def test_degenerate_values_stay_below_the_spectral_bound(pair):
         res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, mode), samples=2000)
         assert res.stratum_index == l
         assert res.fiber_term <= bound * (1.0 + 1e-12), (mode, res.fiber_term, bound)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(degenerate_pairs(5, ("geo", "kl+clamp=5", "stein:0.5", "geoab:1,0.25")),
+       st.integers(0, 2**31 - 1))
+def test_faithful_value_is_the_full_table_max_min(pair, seed):
+    # the branch and bound evaluates only the entries that can decide the
+    # max-min, and returns the full tables' value bit for bit
+    A, B, l, fiber = pair
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"), samples=2000, seed=seed)
+    C, D = ps.geodist._prepare([A], [B]).fibers(0)
+    assert res.stratum_index == l
+    assert res.fiber_term == faithful_fiber(C, D, l, fiber, 2000, seed)
 
 
 @st.composite
