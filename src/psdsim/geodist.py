@@ -32,6 +32,7 @@ from .linalg import (
     _principal_angles,
     _right_angles,
     check_hermitian,
+    paired_pencil_spectra,
     pencil_spectra,
 )
 from .pointset import _defined_on_box, _spectrum_objective, _spectrum_values
@@ -257,17 +258,16 @@ _TARGETS = 8
 def _entry_values(spec, F, Y, i, j):
     """Values of the table entries (F[i[e]], Y[j[e]]) of _conjugated_block_values.
 
-    The same arithmetic as pencil_spectra, on gathered stacks: F Y, then
-    (F Y) F*, then eigvalsh and the value map, in chunks of entries whose
-    gathered factors and Ys together fit _CHUNK_BYTES. Each entry is bit
-    for bit its value in the full table.
+    Chunks of entries, whose gathered factors and Ys together fit
+    _CHUNK_BYTES, go through paired_pencil_spectra and the value map; each
+    entry is its value in the full table, bit for bit under the BLAS
+    condition paired_pencil_spectra states.
     """
     out = np.empty(len(i))
     step = max(1, _CHUNK_BYTES // (2 * F[0].nbytes))
     for c in range(0, len(i), step):
-        Fc = F[i[c:c + step]]
-        W = (Fc @ Y[j[c:c + step]]) @ np.swapaxes(Fc.conj(), -1, -2)
-        out[c:c + step] = _spectrum_values(spec, np.linalg.eigvalsh(_herm(W))[..., ::-1])
+        out[c:c + step] = _spectrum_values(
+            spec, paired_pencil_spectra(F[i[c:c + step]], Y[j[c:c + step]]))
     return out
 
 
@@ -300,7 +300,8 @@ def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
     = E D E* with E = H[:r]. Each of the 4 draws spans an (n_s, n_t) table
     of pencil values over its left and right frames, the table of
     _conjugated_block_values, and the value is the largest min of a row or
-    a column of the 4 tables: the max-min of the full tables, bit for bit.
+    a column of the 4 tables: the max-min of the full tables, bit for bit
+    under the BLAS condition that linalg.paired_pencil_spectra states.
 
     Only the entries that can decide it are evaluated, by an exact branch
     and bound. Each row and column keeps the min of its evaluated entries,

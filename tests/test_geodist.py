@@ -863,6 +863,30 @@ def test_faithful_value_does_not_depend_on_the_chunk_size(pair, monkeypatch):
             assert got.to_json() == want.to_json(), (pair, fiber.kind, samples)
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_entry_values_equal_the_full_table(r, complex_field, monkeypatch):
+    # the branch and bound's gathered entries against _conjugated_block_values,
+    # in chunks of a few entries; see the BLAS condition of
+    # linalg.paired_pencil_spectra
+    rng = np.random.default_rng(10 + r)
+    s, m, n = r + 2, 5, 30
+    unitaries = ps.geodist._random_unitaries
+    Q = unitaries(rng, 1, s, complex_field)[0]
+    D = (Q * rng.uniform(0.5, 2.0, size=s)) @ Q.conj().T
+    F = unitaries(rng, m, r, complex_field) * rng.uniform(0.5, 2.0, size=r)
+    E = unitaries(rng, n, s, complex_field)[:, :r]
+    spec = ps.parse_divergence("kl+clamp=5")
+    want = ps.geodist._conjugated_block_values(spec, F, D, E)
+    monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", 7 * F[0].nbytes)
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(m), np.arange(n), indexing="ij"))
+    got = ps.geodist._entry_values(spec, F, ps.geodist._congruence(E, D), i, j)
+    assert np.array_equal(got, want.ravel()), (
+        "this BLAS rounds r x r products differently from the stacked (n r) x r "
+        "products of a full table, so faithful mode matches the full tables only "
+        f"to rounding (largest difference {np.abs(got - want.ravel()).max():.3g})")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monkeypatch):
     # at 1e5 samples the 4 tables hold 4 x 158 x 158 = 99,856 entries; the
