@@ -263,7 +263,7 @@ def parse_divergence(text: str) -> FiberDivergence:
     if ":" in head:
         name, _, ptext = head.partition(":")
         try:
-            params = [float(v) for v in ptext.split(",") if v.strip() != ""]
+            params = [float(v) for v in ptext.split(",")]
         except ValueError:
             raise ParseError(f"bad divergence parameters in {text!r}")
     else:

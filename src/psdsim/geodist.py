@@ -32,7 +32,6 @@ from .linalg import (
     _principal_angles,
     _right_angles,
     check_hermitian,
-    paired_pencil_spectra,
     pencil_spectra,
 )
 from .pointset import _defined_on_box, _spectrum_objective, _spectrum_values
@@ -242,11 +241,12 @@ def _conjugated_block_values(spec, F, D, E):
 
     Chunks of factors, each chunk's (rows, len(E), r, r) stack within
     _CHUNK_BYTES, go through pencil_spectra and the value map as one stack;
+    pencil_spectra forms each pair by the same products in any stack, so
     the table is the same for any chunk size.
     """
     Y = _congruence(E, D)
     rows = max(1, _CHUNK_BYTES // Y.nbytes)
-    return np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows], Y))
+    return np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows, None], Y))
                            for i in range(0, len(F), rows)])
 
 
@@ -259,15 +259,16 @@ def _entry_values(spec, F, Y, i, j):
     """Values of the table entries (F[i[e]], Y[j[e]]) of _conjugated_block_values.
 
     Chunks of entries, whose gathered factors and Ys together fit
-    _CHUNK_BYTES, go through paired_pencil_spectra and the value map; each
-    entry is its value in the full table, bit for bit under the BLAS
-    condition paired_pencil_spectra states.
+    _CHUNK_BYTES, go through pencil_spectra as paired stacks and then the
+    value map. pencil_spectra forms each pair by the same two r x r
+    products in any stack, so each entry is its value in the full table
+    bit for bit.
     """
     out = np.empty(len(i))
     step = max(1, _CHUNK_BYTES // (2 * F[0].nbytes))
     for c in range(0, len(i), step):
         out[c:c + step] = _spectrum_values(
-            spec, paired_pencil_spectra(F[i[c:c + step]], Y[j[c:c + step]]))
+            spec, pencil_spectra(F[i[c:c + step]], Y[j[c:c + step]]))
     return out
 
 
@@ -292,16 +293,19 @@ def _nearest(queries, points):
     return out
 
 
-def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
-    """Max-min fiber value over the sampled ambiguity group (l >= 1).
+def _faithful_fiber(C, D, wC, wD, l, spec: FiberDivergence, samples, seed):
+    """Max-min fiber value over the sampled ambiguity group (l >= 1); wC
+    and wD are the eigenvalues of C and D, descending.
 
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
     pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
     = E D E* with E = H[:r]. Each of the 4 draws spans an (n_s, n_t) table
     of pencil values over its left and right frames, the table of
     _conjugated_block_values, and the value is the largest min of a row or
-    a column of the 4 tables: the max-min of the full tables, bit for bit
-    under the BLAS condition that linalg.paired_pencil_spectra states.
+    a column of the 4 tables. Entries are evaluated on gathered stacks
+    (_entry_values), and pencil_spectra forms each pair by the same two
+    r x r products as in a full table, so the value is the max-min of the
+    full tables bit for bit.
 
     Only the entries that can decide it are evaluated, by an exact branch
     and bound. Each row and column keeps the min of its evaluated entries,
@@ -316,10 +320,10 @@ def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
     and each row i is seeded with its columns nearest S_i X, each column j
     with its rows nearest T_j[:l] X*.
 
-    Every pencil of a table lies in [min wD / max wC, max wD / min wC], w
-    the eigenvalues, because Y compresses D. Entries are skipped only if
-    the family is certified defined on that box (pointset._defined_on_box);
-    otherwise every entry is evaluated, so an undefined pencil raises
+    Every pencil of a table lies in [min wD / max wC, max wD / min wC]
+    because Y compresses D. Entries are skipped only if the family is
+    certified defined on that box (pointset._defined_on_box); otherwise
+    every entry is evaluated first, so an undefined pencil raises
     DomainError as the full tables do.
     """
     r = C.shape[0]
@@ -328,12 +332,6 @@ def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
     n_d, n_s, n_t = len(S), S.shape[1], T.shape[1]
     F = Cih @ np.swapaxes(_frames(r - l, S.reshape(n_d * n_s, l, l), r).conj(), -1, -2)
     E = _frames(r - l, T.reshape((n_d * n_t,) + T.shape[2:]), r)
-    wC, wD = np.linalg.eigvalsh(C), np.linalg.eigvalsh(D)
-    if not _defined_on_box(spec, wD[0] / wC[-1], wD[-1] / wC[0], r):
-        vals = np.stack([_conjugated_block_values(spec, Fd, D, Ed)
-                         for Fd, Ed in zip(np.split(F, n_d), np.split(E, n_d))])
-        return float(max(vals.min(axis=2).max(), vals.min(axis=1).max()))
-
     Y, X = _congruence(E, D), T[:, :, :l]
     # lines are the rows q = d n_s + i, then the columns R + d n_t + j
     R = n_d * n_s
@@ -361,11 +359,14 @@ def _faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
         return v
 
     d, i, j = np.arange(n_d)[:, None, None], np.arange(n_s), np.arange(n_t)
-    v = fill(entries(d[:, 0], 0, j)).reshape(n_d, n_t)
-    targets = X[d[:, 0], np.argsort(v, axis=1)[:, :_TARGETS]][:, None]  # (n_d, 1, m, l, k)
-    cols = _nearest(S[:, :, None] @ targets, X)  # (n_d, n_s, m)
-    rows = _nearest(X[:, :, None] @ np.swapaxes(targets.conj(), -1, -2), S)  # (n_d, n_t, m)
-    fill(np.concatenate([entries(d, i[:, None], cols), entries(d, rows, j[:, None])]))
+    if _defined_on_box(spec, wD[-1] / wC[0], wD[0] / wC[-1], r):
+        v = fill(entries(d[:, 0], 0, j)).reshape(n_d, n_t)
+        targets = X[d[:, 0], np.argsort(v, axis=1)[:, :_TARGETS]][:, None]  # (n_d, 1, m, l, k)
+        cols = _nearest(S[:, :, None] @ targets, X)  # (n_d, n_s, m)
+        rows = _nearest(X[:, :, None] @ np.swapaxes(targets.conj(), -1, -2), S)  # (n_d, n_t, m)
+        fill(np.concatenate([entries(d, i[:, None], cols), entries(d, rows, j[:, None])]))
+    else:
+        fill(np.arange(R * n_t))
 
     width = 1
     while True:
@@ -526,7 +527,8 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     if l == 0:
         mode = "faithfulSampled" if faithful else "closedForm"
     elif faithful:
-        fterm[0] = _faithful_fiber(*prep.fibers(0), l, spec.fiber, samples, seed)
+        fterm[0] = _faithful_fiber(*prep.fibers(0), prep.wA[0], prep.wB[0], l, spec.fiber,
+                                   samples, seed)
         mode = "faithfulSampled"
     else:
         fterm[0] = gd_degenerate_fiber(*prep.fibers(0), l, spec.fiber, budget=budget, seed=seed)

@@ -85,52 +85,24 @@ def _inv_half(X):
     return _eig_power(lam, V, -0.5)
 
 
-def pencil_spectra(X_invhalf, Y):
-    """Descending spectra of X^{-1} Y for every pair of a factor F (a matrix
-    or a stack) and a Y (a matrix or a stack), as one stacked eigvalsh of
-    F Y F*; the result has shape F's stack + Y's stack + (r,).
+def pencil_spectra(F, Y):
+    """Descending spectra of X^{-1} Y for factors F and Ys broadcast
+    against each other as matmul broadcasts them (F[:, None] against Y for
+    the table of every pair), as one stacked eigvalsh of F Y F*; the result
+    has the broadcast stack shape + (r,).
 
     F may be any factor with F* F = X^{-1}: X^{-1/2}, or C^{-1/2} G* for
-    X = G C G* with G unitary. Each F Y is one small product, and each
-    factor's row of (F Y) F* one product of an (n r) x r by an r x r
-    matrix, so a stack of factors gives, bit for bit, the spectra of one
-    call per factor. `pencil_eigenvalues`, the point-set values and the
-    sampled values of `gd` (the coarse pass of `algorithm1`, and faithful
-    mode's full tables where the domain forces every entry) take their
-    spectra from here; faithful mode's branch and bound runs the same
-    arithmetic on gathered stacks of pairs (paired_pencil_spectra). The
-    closed form of `gd` takes sigma(K)^2 instead, and the paths that also
-    need eigenvectors (the degenerate ascent, the point-set witnesses) call
-    eigh on F Y F* themselves.
+    X = G C G* with G unitary. Each pair is formed by the same two r x r
+    products, (F Y) F*, whatever stack it sits in, so a pair's spectrum is
+    the same bit for bit in a table, in a gathered stack of pairs and in a
+    call of its own. `pencil_eigenvalues`, the point-set values and the
+    sampled values of `gd` (the coarse pass of `algorithm1` and faithful
+    mode's gathered entries) take their spectra from here. The closed form
+    of `gd` takes sigma(K)^2 instead, and the paths that also need
+    eigenvectors (the degenerate ascent, the point-set witnesses) call eigh
+    on F Y F* themselves.
     """
-    r = Y.shape[-1]
-    F = X_invhalf.reshape(-1, r, r)
-    lam = _spectra_of_products(F, F[:, None] @ Y.reshape(-1, r, r))
-    return lam.reshape(X_invhalf.shape[:-2] + Y.shape[:-2] + (r,))
-
-
-def paired_pencil_spectra(F, Y):
-    """Descending spectra of F[e] Y[e] F[e]* for paired (m, r, r) stacks of
-    factors F and Ys: the same arithmetic as pencil_spectra, one pair per
-    entry. Faithful mode's branch and bound evaluates the table entries it
-    gathers with it.
-
-    An entry equals its value in pencil_spectra(F[e], Y[e]) or in any stack
-    holding that pair bit for bit as long as the BLAS rounds each element
-    of an r x r by r x r product as it does in the (n r) x r by r x r
-    products there; tests/test_geodist.py checks that this holds.
-    """
-    return _spectra_of_products(F, F @ Y)
-
-
-def _spectra_of_products(F, FY):
-    """Descending eigenvalues of (F Y) F* for a stack F of m factors and the
-    (m, ..., r, r) stack FY of their products F Y: each factor's rows of
-    F Y times F* as one (n r) x r by r x r product, then one stacked
-    eigvalsh. pencil_spectra and paired_pencil_spectra share it, so that
-    their entries agree bit for bit."""
-    m, r = F.shape[0], F.shape[-1]
-    W = (FY.reshape(m, -1, r) @ np.swapaxes(F.conj(), -1, -2)).reshape(FY.shape)
+    W = (F @ Y) @ np.swapaxes(F.conj(), -1, -2)
     return np.linalg.eigvalsh(_herm(W))[..., ::-1]
 
 

@@ -207,7 +207,8 @@ def test_grammar_suffixes():
 
 def test_grammar_errors():
     for bad in ("nope", "ab:1", "renyi", "kl:3", "geo+weird", "ab:x,y", "geoab:1,0.25+clamp=z",
-                "geoab:1,inf", "geoab:inf,1", "geoab:1,nan", "stein:inf"):
+                "geoab:1,inf", "geoab:inf,1", "geoab:1,nan", "stein:inf",
+                "geoab:1,,0.25", "geoab:1,0.25,", "stein:", "stein:,", "kl:"):
         with pytest.raises(ps.ParseError):
             ps.parse_divergence(bad)
 

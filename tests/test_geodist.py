@@ -867,8 +867,8 @@ def test_faithful_value_does_not_depend_on_the_chunk_size(pair, monkeypatch):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_entry_values_equal_the_full_table(r, complex_field, monkeypatch):
     # the branch and bound's gathered entries against _conjugated_block_values,
-    # in chunks of a few entries; see the BLAS condition of
-    # linalg.paired_pencil_spectra
+    # in chunks of a few entries: both form each pair by the same two r x r
+    # products of linalg.pencil_spectra
     rng = np.random.default_rng(10 + r)
     s, m, n = r + 2, 5, 30
     unitaries = ps.geodist._random_unitaries
@@ -882,9 +882,9 @@ def test_entry_values_equal_the_full_table(r, complex_field, monkeypatch):
     i, j = (x.ravel() for x in np.meshgrid(np.arange(m), np.arange(n), indexing="ij"))
     got = ps.geodist._entry_values(spec, F, ps.geodist._congruence(E, D), i, j)
     assert np.array_equal(got, want.ravel()), (
-        "this BLAS rounds r x r products differently from the stacked (n r) x r "
-        "products of a full table, so faithful mode matches the full tables only "
-        f"to rounding (largest difference {np.abs(got - want.ravel()).max():.3g})")
+        "gathered entries and the full table no longer form each pair by the "
+        "same products, so faithful mode matches the full tables only to "
+        f"rounding (largest difference {np.abs(got - want.ravel()).max():.3g})")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -937,12 +937,22 @@ def test_faithful_evaluates_every_entry_unless_the_domain_is_certified(
 
 
 def test_faithful_degenerate_decomposes_c_once(monkeypatch):
-    # every left frame G uses C^-1/2 G* in place of (G C G*)^-1/2
+    # every left frame G uses C^-1/2 G* in place of (G C G*)^-1/2, and the
+    # domain box comes from the spectra of C and D that gd already holds:
+    # eigvalsh sees only stacks of pencils, never C or D alone
     A, B = example_pair()
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful"), samples=20000)
     assert res.stratum_index == 2
     assert eigh["n"] == 1
+    assert shapes and all(len(shape) > 2 for shape in shapes), shapes
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
