@@ -36,7 +36,6 @@ from .geodist import (
     GdResult,
     MetricSpec,
     gd,
-    gd_degenerate_fiber,
     pairwise_gram,
 )
 from .geometry import (

@@ -257,7 +257,7 @@ _PRESET_BUILDERS = {
 
 
 def parse_divergence(text: str) -> FiberDivergence:
-    """Parse `name[:param[,param]]` with optional `+sym`, `+ratio`, `+clamp=eps`."""
+    """Parse `name[:param[,param]]` with optional `+sym` and one of `+ratio`, `+clamp[=eps]`."""
     parts = [p.strip() for p in text.strip().split("+")]
     head, suffixes = parts[0], parts[1:]
     if ":" in head:
@@ -280,17 +280,17 @@ def parse_divergence(text: str) -> FiberDivergence:
         spec = build(params)
     except DomainError as e:
         raise ParseError(str(e))
+    bounded = False
     for suf in suffixes:
+        name, eq, val = suf.partition("=")
         if suf == "sym":
             spec = spec.with_sym()
-        elif suf == "ratio":
-            spec = spec.with_bound("ratio")
-        elif suf.startswith("clamp"):
-            _, _, val = suf.partition("=")
+        elif (suf == "ratio" or name == "clamp") and not bounded:
+            bounded = True
             try:
-                spec = spec.with_bound("clamp", float(val) if val else 10.0)
+                spec = spec.with_bound(name, float(val) if eq else 10.0)
             except ValueError:
                 raise ParseError(f"bad clamp threshold in {text!r}")
         else:
-            raise ParseError(f"unknown divergence suffix {suf!r}")
+            raise ParseError(f"unknown divergence suffix or second bound {suf!r} in {text!r}")
     return spec

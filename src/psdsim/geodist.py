@@ -31,7 +31,6 @@ from .linalg import (
     _inv_half,
     _principal_angles,
     _right_angles,
-    check_hermitian,
     pencil_spectra,
 )
 from .pointset import _defined_on_box, _spectrum_objective, _spectrum_values
@@ -465,7 +464,7 @@ def _ascend(spec, C_invhalf, D, l, Ts):
     return -f
 
 
-def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0):
+def gd_degenerate_fiber(C, D, l, spec: FiberDivergence, budget=16, seed=0):
     """Fiber term on a degenerate stratum (l >= 1 right principal angles).
 
     Maximizes the extended divergence over the tail unitary group
@@ -473,16 +472,10 @@ def gd_degenerate_fiber(Crep, Drep, l, spec: FiberDivergence, budget=16, seed=0)
     representation (algorithm1): a batched Riemannian ascent from the best
     max(2, budget) of 512 tails from the ambiguity sampler (over the reals
     with a one-dimensional tail, the two signs are enumerated instead).
-    `budget` must be >= 1, and both representations positive definite.
+    `gd`'s evaluator, on the alignment fibers of a pair gd has validated.
     Deterministic given a seed.
     """
-    _check_counts(budget=budget)
-    C, D = check_hermitian(Crep), check_hermitian(Drep)
     r, s = C.shape[0], D.shape[0]
-    if not 1 <= l <= r <= s:
-        raise DomainError("degenerate evaluator needs 1 <= l <= r <= s")
-    if np.linalg.eigvalsh(D)[0] <= 0.0:
-        raise DomainError("fiber representation not positive definite")
     k = s - r + l
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     Cih = _inv_half(C)

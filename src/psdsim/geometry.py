@@ -26,7 +26,6 @@ from .linalg import (
     _eig_power,
     _herm,
     _right_angles,
-    check_pd,
     fiber_representation,
     principal_system,
 )
@@ -119,14 +118,16 @@ def quasi_geodesic(A: PsdMatrix, B: PsdMatrix, t: float) -> PsdMatrix:
 
 def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix) -> PsdCurve:
     """quasi_geodesic as a curve; C = P* diag(wA) P comes factored from the
-    alignment, so only C^{-1/2} D' C^{-1/2} is decomposed, once."""
+    alignment, so only the derived pencil C^{-1/2} D' C^{-1/2} is decomposed, once."""
     prep = _aligned_pair(A, B)
     P, Qh = prep.P[0], prep.Qh[0]
     u = _horizontal_lift(A.compact_factors()[0] @ P, B.compact_factors()[0] @ Qh.conj().T,
                          prep.theta[0])
     Chalf = _eig_power(prep.wA[0], P.conj().T, 0.5)
     Cih = _eig_power(prep.wA[0], P.conj().T, -0.5)
-    _, wi, Vi = check_pd(_herm(Cih @ prep.fibers(0)[1] @ Cih), name="fiber pencil")
+    wi, Vi = np.linalg.eigh(_herm(Cih @ prep.fibers(0)[1] @ Cih))
+    if wi[0] <= 0.0:
+        raise DomainError("fiber pencil not positive definite")
 
     def evaluate(t):
         S = _herm(Chalf @ _eig_power(wi, Vi, float(t)) @ Chalf)

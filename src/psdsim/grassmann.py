@@ -41,7 +41,7 @@ def grassmann_distance(metric: GrassmannMetric, theta):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape[-1] == 0:
         raise DomainError("empty principal-angle vector")
-    if theta.min() < -1e-12 or theta.max() > math.pi / 2 + 1e-12:
+    if not (theta.min() >= -1e-12 and theta.max() <= math.pi / 2 + 1e-12):  # NaN fails too
         raise DomainError("principal angles must lie in [0, pi/2]")
     theta = np.clip(theta, 0.0, math.pi / 2)
     c = np.cos(theta)

@@ -64,11 +64,13 @@ def _eig_power(w, V, p):
 
 
 def check_pd(M, name="matrix"):
-    """Validate that M is Hermitian positive definite; returns (M, w, V)."""
-    w, V = hermitian_eig(M)
-    if w.size == 0 or w[-1] <= TOL_RANK * max(w[0], 0.0) or w[-1] <= 0.0:
+    """The one positive-definiteness rule for a caller's matrix: Hermitian, smallest
+    eigenvalue > TOL_RANK * largest. Returns (M symmetrized, w descending, V)."""
+    M = check_hermitian(M)
+    w, V = np.linalg.eigh(M)
+    if w.size == 0 or w[0] <= TOL_RANK * max(w[-1], 0.0):
         raise DomainError(f"{name} is not positive definite at tolerance")
-    return _herm(_as_array(M)), w, V
+    return M, w[::-1].copy(), V[:, ::-1].copy()
 
 
 def psd_power(M, p):
@@ -124,7 +126,8 @@ def pencil_eigenvalues(X, Y):
     if X.shape != Y.shape:
         raise DomainError(f"pencil size mismatch: {X.shape} vs {Y.shape}")
     _, wx, Vx = check_pd(X, name="pencil left argument")
-    return _pencil_from_eig(wx, Vx, check_hermitian(Y))
+    Y, _, _ = check_pd(Y, name="pencil right argument")
+    return _pencil_from_eig(wx, Vx, Y)
 
 
 def _check_tolerances(**tols):

@@ -205,10 +205,23 @@ def test_grammar_suffixes():
     assert spec.bound == ("clamp", 10.0)
 
 
+def test_both_arguments_must_be_positive_definite():
+    # the rule of linalg.check_pd holds for each argument: a matrix of
+    # condition number 1e14 raises in either position
+    bad = np.diag([1.0, 1e-14])
+    for text in ("geo", "kl", "stein:0.5"):
+        spec = ps.parse_divergence(text)
+        for X, Y in ((bad, np.eye(2)), (np.eye(2), bad)):
+            with pytest.raises(ps.DomainError, match="not positive definite at tolerance"):
+                ps.divergence(spec, X, Y)
+
+
 def test_grammar_errors():
     for bad in ("nope", "ab:1", "renyi", "kl:3", "geo+weird", "ab:x,y", "geoab:1,0.25+clamp=z",
                 "geoab:1,inf", "geoab:inf,1", "geoab:1,nan", "stein:inf",
-                "geoab:1,,0.25", "geoab:1,0.25,", "stein:", "stein:,", "kl:"):
+                "geoab:1,,0.25", "geoab:1,0.25,", "stein:", "stein:,", "kl:",
+                "kl+clampx=3", "kl+clamping=2", "kl+clamp=", "kl+ratio=2", "kl+ratio+clamp=5",
+                "kl+clamp=5+ratio", "kl+clamp=2+clamp=3", "kl+ratio+ratio"):
         with pytest.raises(ps.ParseError):
             ps.parse_divergence(bad)
 

@@ -355,29 +355,21 @@ def test_degenerate_constant_objective_ignores_budget():
     # rotations act trivially, so any budget returns the same value
     C = np.diag([1.0, 2.0])
     D = np.eye(3) * 3.0
-    v1 = ps.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=2, seed=0)
-    v2 = ps.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=20, seed=5)
+    v1 = ps.geodist.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=2, seed=0)
+    v2 = ps.geodist.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=20, seed=5)
     assert abs(v1 - v2) <= 1e-9
 
 
-def test_degenerate_fiber_validates_its_arguments():
-    C, D = np.eye(2), np.diag([1.0, 2.0, 3.0])
-    with pytest.raises(ps.DomainError, match=">= 1"):
-        ps.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=-3)
-    with pytest.raises(ps.DomainError, match="non-finite"):
-        ps.gd_degenerate_fiber(np.array([[1.0, np.nan], [np.nan, 1.0]]), D, 1, FD.geodesic())
-    with pytest.raises(ps.DomainError, match="not Hermitian"):
-        ps.gd_degenerate_fiber(np.array([[1.0, 0.5], [0.0, 1.0]]), D, 1, FD.geodesic())
-    with pytest.raises(ps.DomainError, match="not Hermitian"):
-        ps.gd_degenerate_fiber(C, D + np.triu(np.ones((3, 3)), 1), 1, FD.geodesic())
-    # the clamp max(1, mu) would hide a negative pencil behind a plausible value
-    for Dbad in (-np.eye(3), np.diag([4.0, 1.0, -5.0])):
-        for fiber in (FD.geodesic(), FD.kl()):
-            with pytest.raises(ps.DomainError, match="not positive definite"):
-                ps.gd_degenerate_fiber(C, Dbad, 1, fiber)
-    for l in (0, 3):
-        with pytest.raises(ps.DomainError, match="1 <= l <= r"):
-            ps.gd_degenerate_fiber(C, D, l, FD.geodesic())
+def test_alignment_fibers_are_not_judged_by_the_caller_rule():
+    # at tol_rank 0 the left fiber diag(1, 1e-12) of this l = 1 pair has
+    # condition number 1e12, which linalg.check_pd would reject in a caller's
+    # matrix; derived from a validated pair, it is evaluated by both modes
+    A = ps.PsdMatrix(np.diag([1.0, 1e-12, 0.0, 0.0, 0.0]), tol_rank=0.0)
+    B = ps.PsdMatrix(np.diag([0.0, 3.0, 1.0, 2.0, 0.0]), tol_rank=0.0)
+    for mode in ("algorithm1", "faithful"):
+        res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.kl(), mode), samples=2000)
+        assert res.stratum_index == 1, mode
+        assert abs(res.fiber_term - 13.961390292578468) <= 1e-12 * 13.961390292578468, mode
 
 
 def test_determinism_same_seed_same_result():
@@ -417,8 +409,6 @@ def test_budget_and_samples_below_one_raise_domain_error():
             for mats in ([A, B], [A]):
                 with pytest.raises(ps.DomainError, match=">= 1"):
                     ps.pairwise_gram(mats, spec, **kw)
-    with pytest.raises(ps.DomainError, match=">= 1"):
-        ps.gd_degenerate_fiber(np.eye(2), np.diag([1.0, 2.0, 3.0]), 1, FD.kl(), budget=1.5)
     assert ps.gd(A, B, faithful, samples=1).stratum_index == 2
     assert ps.gd(A, B, GEO_GEO, budget=1).stratum_index == 2
     assert ps.gd(A, B, GEO_GEO, budget=np.int64(1)).stratum_index == 2

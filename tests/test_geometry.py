@@ -158,6 +158,22 @@ def test_quasi_geodesic_endpoints():
         assert np.abs(ps.quasi_geodesic(A, B, 1.0).entries - B.entries).max() <= 1e-9
 
 
+def test_quasi_geodesic_of_an_ill_conditioned_fiber_pencil():
+    # each fiber has condition number 1e6, their pencil 1e12: derived from
+    # validated inputs, the pencil is decomposed, not judged by check_pd,
+    # so the curve exists wherever its length does
+    A = ps.PsdMatrix(np.diag([1e6, 1.0, 0.0]))
+    B = ps.PsdMatrix(np.diag([1e-6, 1.0, 0.0]))
+    curve = ps.quasi_geodesic_curve(A, B)
+    for t, want in ((0.0, A.entries), (1.0, B.entries), (0.5, np.diag([1.0, 1.0, 0.0]))):
+        got = curve.evaluator(t).entries
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), t
+    length = 12.0 * math.log(10.0)  # |log 1e12|, no angle between the ranges
+    assert abs(ps.quasi_geodesic_length(A, B, 1.0) - length) <= 1e-12 * length
+    total = ps.gd(B, A, ps.MetricSpec(GM.GEODESIC, FD.geodesic())).total
+    assert abs(total - length) <= 1e-12 * length
+
+
 def test_quasi_geodesic_fixed_range_is_matrix_geodesic():
     rng = np.random.default_rng(10)
     F = rand_frame(rng, 5, 2)

@@ -87,6 +87,10 @@ def test_angle_domain_and_length_checks():
         ps.grassmann_distance(GM.GEODESIC, [-0.1])
     with pytest.raises(ps.DomainError):
         ps.grassmann_distance(GM.GEODESIC, [])
+    # NaN compares false with both ends of [0, pi/2]; it is rejected too
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ps.DomainError):
+            ps.grassmann_distance(GM.GEODESIC, [0.1, bad])
 
 
 @pytest.mark.parametrize("metric", ALL)
@@ -108,6 +112,8 @@ def test_stacked_angle_domain_check():
         ps.grassmann_distance(GM.GEODESIC, theta)
     with pytest.raises(ps.DomainError):
         ps.grassmann_distance(GM.GEODESIC, -theta[:1])
+    with pytest.raises(ps.DomainError):
+        ps.grassmann_distance(GM.GEODESIC, [[0.1, 0.2], [math.nan, 0.3]])
 
 
 def test_names_parse():

@@ -58,6 +58,19 @@ def test_psd_power_rejects_singular():
         ps.psd_power(np.diag([1.0, 0.0]), 0.5)
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_pencil_checks_both_arguments_by_one_rule(complex_field):
+    # condition number 1e14 fails the rank rule as either argument
+    rng = np.random.default_rng(6)
+    Z = rng.normal(size=(2, 2)) + (1j * rng.normal(size=(2, 2)) if complex_field else 0.0)
+    G, _ = np.linalg.qr(Z)
+    bad = G @ np.diag([1.0, 1e-14]) @ G.conj().T
+    with pytest.raises(ps.DomainError, match="left argument is not positive definite at tol"):
+        ps.pencil_eigenvalues(bad, np.eye(2))
+    with pytest.raises(ps.DomainError, match="right argument is not positive definite at tol"):
+        ps.pencil_eigenvalues(np.eye(2), bad)
+
+
 def test_pencil_identical_inputs():
     rng = np.random.default_rng(2)
     X = rand_pd(rng, 3)
