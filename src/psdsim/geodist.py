@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -196,6 +197,35 @@ def _sample_group(rng, k, count, complex_field):
     else:
         out[1:] = _random_unitaries(rng, count - 1, k, complex_field)
     return out
+
+
+# byte bound of the cache of algorithm1's coarse tails (_coarse_tails); a
+# draw larger than the bound is not kept
+_COARSE_CACHE_BYTES = 4 * 1024 * 1024
+_coarse_cache = {}  # (seed, k, complex_field) -> read-only tails, least recent first
+_coarse_lock = threading.Lock()  # callers in several threads share the cache
+
+
+def _coarse_tails(seed, k, complex_field):
+    """algorithm1's coarse tails of U(k) (O(k) over the reals), read-only.
+
+    They are a function of (seed, k, field): the two signs over the reals
+    at k = 1, otherwise 512 tails of the ambiguity sampler drawn from
+    default_rng(seed). Draws are kept in a cache of at most
+    _COARSE_CACHE_BYTES, the least recently used leaving first.
+    """
+    key = (int(seed), k, complex_field)
+    with _coarse_lock:
+        Ts = _coarse_cache.pop(key, None)
+        if Ts is None:
+            count = 2 if k == 1 and not complex_field else 512
+            Ts = _sample_group(np.random.default_rng(seed), k, count, complex_field)
+            Ts.flags.writeable = False
+        if Ts.nbytes <= _COARSE_CACHE_BYTES:
+            while sum(T.nbytes for T in _coarse_cache.values()) + Ts.nbytes > _COARSE_CACHE_BYTES:
+                del _coarse_cache[next(iter(_coarse_cache))]
+            _coarse_cache[key] = Ts
+    return Ts
 
 
 def _frames(i0, tails, rows):
@@ -472,21 +502,20 @@ def gd_degenerate_fiber(C, D, l, spec: FiberDivergence, budget=16, seed=0):
     representation (algorithm1): a batched Riemannian ascent from the best
     max(2, budget) of 512 tails from the ambiguity sampler (over the reals
     with a one-dimensional tail, the two signs are enumerated instead).
+    The tails depend only on (seed, k, field) and are drawn once per key
+    (_coarse_tails), so the value is deterministic given a seed.
     `gd`'s evaluator, on the alignment fibers of a pair gd has validated.
-    Deterministic given a seed.
     """
     r, s = C.shape[0], D.shape[0]
     k = s - r + l
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
     Cih = _inv_half(C)
-    rng = np.random.default_rng(seed)
-    if k == 1 and not complex_field:
-        signs = _frames(r - l, _sample_group(rng, 1, 2, False), r)
-        return float(_conjugated_block_values(spec, Cih[None], D, signs)[0].max())
-
-    # coarse sampling pass to seed the local maximizations
-    Ts = _sample_group(rng, k, 512, complex_field)
+    Ts = _coarse_tails(seed, k, complex_field)
+    # coarse sampling pass: the value itself over the two signs of a real
+    # one-dimensional tail, otherwise the seeds of the local maximizations
     coarse = _conjugated_block_values(spec, Cih[None], D, _frames(r - l, Ts, r))[0]
+    if k == 1 and not complex_field:
+        return float(coarse.max())
     starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
     final = _fiber_values(spec, _ascend(spec, Cih, D, l, starts))
     return float(max(coarse.max(), final.max()))
@@ -495,11 +524,11 @@ def gd_degenerate_fiber(C, D, l, spec: FiberDivergence, budget=16, seed=0):
 # --- the distance -----------------------------------------------------
 
 
-def _check_counts(**counts):
-    """Each given count must be an integer >= 1: NumPy integers pass, bools do not."""
-    for name, count in counts.items():
-        if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {count}")
+def _check_integers(low, **values):
+    """Each given value must be an integer >= low: NumPy integers pass, bools do not."""
+    for name, value in values.items():
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
@@ -507,10 +536,14 @@ def gd(A: PsdMatrix, B: PsdMatrix, spec: MetricSpec, seed=0, budget=16,
     """Geometric distance between two PSD matrices of any size and rank.
 
     `budget` (algorithm1 ascent starts, at least two run) and `samples`
-    (faithful mode) must be integers >= 1. The lower-rank argument's
-    tol_rank (the first one's at equal ranks) decides the stratum.
+    (faithful mode) must be integers >= 1, and `seed` an integer >= 0,
+    which with the tail size and the field determines every sampled tail
+    (NumPy integers pass, bools and anything else raise DomainError). The
+    lower-rank argument's tol_rank (the first one's at equal ranks)
+    decides the stratum.
     """
-    _check_counts(budget=budget, samples=samples)
+    _check_integers(1, budget=budget, samples=samples)
+    _check_integers(0, seed=seed)
     if A.rank > B.rank:
         A, B = B, A  # the measurement is symmetric across unequal ranks
     prep = _prepare([A], [B])  # an aligned pair, a stack of one
@@ -650,11 +683,15 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=20000):
     degenerate stratum (l >= 1), those with a zero-rank matrix, those of a
     chunk whose alignment raised and those of a value batch that raised.
     They run in row-major order of (i, j), then (j, i), so an error names
-    the first failing pair in that order.
+    the first failing pair in that order. `seed`, `budget` and `samples`
+    follow gd's rules and are checked before any pair runs; every
+    degenerate direction of one field and tail size shares its coarse
+    tails.
     """
     if not mats:
         raise DomainError("empty input list")
-    _check_counts(budget=budget, samples=samples)
+    _check_integers(1, budget=budget, samples=samples)
+    _check_integers(0, seed=seed)
     out, done = _generic_distances(mats, spec)
     kw = {"seed": seed, "budget": budget, "samples": samples}
     n = len(mats)

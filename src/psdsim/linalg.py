@@ -320,6 +320,11 @@ def _descend(fg, retract, X, max_iter):
     f, which then sits at its resolution. f = +inf marks a point outside
     the domain. Returns the final stack, f, and per start whether it met
     the gradient rule.
+
+    When every start still searching accepts its trial step, as nearly all
+    do at the full step t = 1, the update is applied to them as one stack,
+    with no split into accepted and rejected starts; the arithmetic is the
+    same, so the result is too.
     """
     m = X.shape[0]
     X = X.copy()
@@ -338,22 +343,27 @@ def _descend(fg, retract, X, max_iter):
         for _ in range(30):
             X_try = retract(X[idx], p, t)
             f_try, g_try = fg(X_try)
-            ok = f_try <= f[idx] + 1e-4 * t * slope
-            acc = idx[ok]
-            if acc.size:
+            f_idx = f[idx]
+            ok = f_try <= f_idx + 1e-4 * t * slope
+            full = ok.all()
+            if ok.any():
+                sel = slice(None) if full else ok  # views, not gathers, if all accept
+                acc = idx[sel]
                 # an accepted step that leaves f unchanged is below its resolution
-                live[acc[f_try[ok] >= f[acc]]] = False
-                _bfgs_update(Hinv, scaled, acc, t[ok, None] * p[ok], g_try[ok] - g[acc])
-                X[acc], f[acc], g[acc] = X_try[ok], f_try[ok], g_try[ok]
+                live[acc[f_try[sel] >= f_idx[sel]]] = False
+                _bfgs_update(Hinv, scaled, acc, t[sel, None] * p[sel], g_try[sel] - g[acc])
+                X[acc], f[acc], g[acc] = X_try[sel], f_try[sel], g_try[sel]
+            if full:
+                break
             # backtrack to the minimizer of the quadratic through f, the slope
             # and f_try, kept within [0.1, 0.5] of the rejected step
-            drop = f_try[~ok] - (f[idx[~ok]] + t[~ok] * slope[~ok])
-            idx, p, slope, t = idx[~ok], p[~ok], slope[~ok], t[~ok]
-            if idx.size == 0:
-                break
+            rej = ~ok
+            drop = f_try[rej] - (f_idx[rej] + t[rej] * slope[rej])
+            idx, p, slope, t = idx[rej], p[rej], slope[rej], t[rej]
             t = np.clip(-0.5 * slope * t * t / drop, 0.1 * t, 0.5 * t)
-        # starts that found no descent step sit at the resolution of f too
-        live[idx] = False
+        else:
+            # starts that found no descent step sit at the resolution of f too
+            live[idx] = False
     return X, f, _row_norms(g) <= 1e-7 * (1.0 + np.abs(f))
 
 
@@ -362,7 +372,8 @@ def _bfgs_update(Hinv, scaled, idx, s, y):
     changes y; skipped where the curvature <s, y> is not positive."""
     sy = np.add.reduce(s * y, axis=1)
     use = sy > 1e-12 * _row_norms(s) * _row_norms(y)
-    idx, s, y, sy = idx[use], s[use], y[use], sy[use]
+    if not use.all():
+        idx, s, y, sy = idx[use], s[use], y[use], sy[use]
     first = ~scaled[idx]
     if first.any():
         gamma = sy[first] / np.add.reduce(y[first] * y[first], axis=1)

@@ -11,7 +11,7 @@ import numpy as np
 
 from psdsim.divergences import FiberDivergence, _fiber_values, _objective
 from psdsim.errors import DomainError
-from psdsim.geodist import (_check_counts, _congruence, _conjugated_block_values, _frame_draws,
+from psdsim.geodist import (_check_integers, _congruence, _conjugated_block_values, _frame_draws,
                             _frames, _prepare)
 from psdsim.linalg import PsdMatrix, _descend, _eig_power, _herm, _inv_half, psd_power
 from psdsim.pointset import _check_pair
@@ -50,7 +50,7 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     ambiguity that moves a value. Pairs of one draw share their array
     objects, so the list can be fed to generalized_hausdorff directly.
     """
-    _check_counts(grid=grid)
+    _check_integers(1, grid=grid)
     if A.rank > B.rank:
         A, B = B, A
     prep = _prepare([A], [B])

@@ -218,6 +218,20 @@ def test_budget_and_samples_below_one_exit_3(tmp_path, capsys):
     assert code == 3 and out == "" and ">= 1" in err
 
 
+def test_negative_seed_exits_3(tmp_path, capsys):
+    # on the worked (degenerate) pair and on a generic one, in both modes
+    a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
+    b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)
+    g = write_matrix(tmp_path / "g.psdm", np.diag([2.0, 1.0, 0.5, 0.0, 0.0]))
+    for other in (b, g):
+        for mode in ("algorithm1", "faithful"):
+            code, out, err = run_cli(capsys, "dist", "--a", a, "--b", other, "--seed", "-1",
+                                     "--hausdorff", mode)
+            assert code == 3 and out == "" and "seed must be an integer >= 0, got -1" in err
+    code, out, err = run_cli(capsys, "pairwise", "--inputs", f"{a},{b}", "--seed", "-1")
+    assert code == 3 and out == "" and "seed" in err
+
+
 def test_negative_tolerance_exits_3(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", EXAMPLE_A)
     b = write_matrix(tmp_path / "b.psdm", EXAMPLE_B)

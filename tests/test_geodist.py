@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -378,6 +380,143 @@ def test_determinism_same_seed_same_result():
     r1 = ps.gd(A, B, spec, seed=3, samples=20000)
     r2 = ps.gd(A, B, spec, seed=3, samples=20000)
     assert r1.to_json() == r2.to_json()
+
+
+def test_seed_must_be_a_nonnegative_integer():
+    # on every path, and for pairwise_gram too, before any pair runs; a NumPy
+    # integer is the same seed as the Python one
+    A, B = example_pair()
+    generic = ps.PsdMatrix(np.diag([2.0, 1.0, 0.5, 0.0, 0.0]))
+    faithful = ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful")
+    for spec in (GEO_GEO, faithful):
+        for seed in (-1, 1.5, None, True, np.random.default_rng(0), "3"):
+            for a, b in ((A, B), (A, generic)):
+                with pytest.raises(ps.DomainError, match=r"seed must be an integer >= 0, got "):
+                    ps.gd(a, b, spec, seed=seed, samples=2000)
+            with pytest.raises(ps.DomainError, match=r"seed must be an integer >= 0, got "):
+                ps.pairwise_gram([A, B], spec, seed=seed, samples=2000)
+        want = ps.gd(A, B, spec, seed=3, samples=2000).to_json()
+        assert ps.gd(A, B, spec, seed=np.int64(3), samples=2000).to_json() == want
+    assert ps.gd(A, B, GEO_GEO, seed=0).stratum_index == 2
+
+
+def _degenerate_fibers(rng, r, s, l, complex_field):
+    """gd's alignment fibers (C, D) of a random pair with l right angles."""
+    A, B = degenerate_pair(rng, 10, r, s, l, complex_field)
+    prep = ps.geodist._prepare([A], [B])
+    assert prep.l[0] == l
+    return prep.fibers(0)
+
+
+def test_coarse_tails_are_drawn_once_per_seed_tail_size_and_field(monkeypatch):
+    rng = np.random.default_rng(27)
+    spec = FD.geodesic()
+    # (4, 5, 2) and (3, 4, 2) share k = 3; each field draws once per seed
+    fields = {cf: [_degenerate_fibers(rng, r, s, l, cf) for r, s, l in ((4, 5, 2), (3, 4, 2))]
+              for cf in (False, True)}
+    monkeypatch.setattr(ps.geodist, "_coarse_cache", {})
+    qr = count_calls(monkeypatch, np.linalg, "qr")
+    for complex_field, pairs in fields.items():
+        for seed, draws in ((0, 1), (0, 1), (1, 2), (0, 2)):
+            for C, D in pairs:
+                ps.geodist.gd_degenerate_fiber(C, D, 2, spec, budget=2, seed=seed)
+            assert qr["n"] == draws + 2 * complex_field, (complex_field, seed)
+    for (seed, k, complex_field), Ts in ps.geodist._coarse_cache.items():
+        assert k == 3
+        with pytest.raises(ValueError):
+            Ts[0, 0, 0] = 2.0
+        fresh = ps.geodist._sample_group(np.random.default_rng(seed), k, 512, complex_field)
+        assert Ts.dtype == fresh.dtype and np.all(Ts == fresh)
+
+
+def test_real_sign_tails_are_cached_read_only(monkeypatch):
+    monkeypatch.setattr(ps.geodist, "_coarse_cache", {})
+    Ts = ps.geodist._coarse_tails(4, 1, False)
+    assert Ts.shape == (2, 1, 1) and np.all(Ts[:, 0, 0] == [1.0, -1.0])
+    assert ps.geodist._coarse_tails(np.int64(4), 1, False) is Ts
+    with pytest.raises(ValueError):
+        Ts[1, 0, 0] = 1.0
+
+
+def test_coarse_cache_stays_within_its_byte_bound(monkeypatch):
+    # a real k = 4 draw holds 512 * 16 * 8 = 65,536 bytes
+    monkeypatch.setattr(ps.geodist, "_coarse_cache", {})
+    monkeypatch.setattr(ps.geodist, "_COARSE_CACHE_BYTES", 2 * 65_536)
+    for seed in range(4):
+        ps.geodist._coarse_tails(seed, 4, False)
+        held = ps.geodist._coarse_cache
+        assert sum(T.nbytes for T in held.values()) <= 2 * 65_536
+    assert sorted(held) == [(2, 4, False), (3, 4, False)]  # the least recent left
+    ps.geodist._coarse_tails(2, 4, False)  # a hit makes (2, 4) the most recent
+    ps.geodist._coarse_tails(5, 4, False)
+    assert sorted(held) == [(2, 4, False), (5, 4, False)]
+    big = ps.geodist._coarse_tails(0, 6, True)  # 512 * 36 * 16 bytes, beyond the bound
+    assert not big.flags.writeable and (0, 6, True) not in held
+    assert sorted(held) == [(2, 4, False), (5, 4, False)]
+
+
+def test_coarse_cache_shared_by_threads(monkeypatch):
+    # more threads than cores draw and evict under a bound of three real k = 2
+    # draws (8,192 bytes each); every tail returned is its key's draw, and the
+    # cache never holds more than its bound
+    monkeypatch.setattr(ps.geodist, "_coarse_cache", {})
+    monkeypatch.setattr(ps.geodist, "_COARSE_CACHE_BYTES", 3 * 8_192)
+    want = {seed: ps.geodist._sample_group(np.random.default_rng(seed), 2, 512, False)
+            for seed in range(6)}
+    errors = []
+
+    def work(first):
+        try:
+            for i in range(3000):
+                seed = (first + i) % 6
+                assert np.array_equal(ps.geodist._coarse_tails(seed, 2, False), want[seed])
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert sum(T.nbytes for T in ps.geodist._coarse_cache.values()) <= 3 * 8_192
+
+
+def test_gd_is_the_same_with_and_without_cached_tails(monkeypatch):
+    rng = np.random.default_rng(28)
+    pairs = [degenerate_pair(rng, 9, r, s, l, cf)
+             for r, s, l in ((3, 3, 1), (3, 4, 1), (4, 6, 3)) for cf in (False, True)]
+    spec = ps.MetricSpec(GM.GEODESIC, FD.kl())
+    first = [ps.gd(A, B, spec, seed=2).to_json() for A, B in pairs]
+    again = [ps.gd(A, B, spec, seed=2).to_json() for A, B in pairs]
+    monkeypatch.setattr(ps.geodist, "_coarse_cache", {})
+    fresh = [ps.gd(A, B, spec, seed=2).to_json() for A, B in pairs]
+    assert first == again == fresh
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_stacked_ascent_equals_each_start_alone(complex_field):
+    # every row of the batched descent is its own computation: a start
+    # reaches the same value, bit for bit, in the stack and in a stack of one
+    rng = np.random.default_rng(29)
+    for r, s, l in ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3)):
+        C, D = _degenerate_fibers(rng, r, s, l, complex_field)
+        Cih = ps.geodist._inv_half(C)
+        k = s - r + l
+        for spec in (FD.geodesic(), FD.kl()):
+            Ts = ps.geodist._coarse_tails(0, k, complex_field)
+            E = ps.geodist._frames(r - l, Ts, r)
+            coarse = ps.geodist._conjugated_block_values(spec, Cih[None], D, E)[0]
+            starts = Ts[np.argsort(coarse)[::-1][:16]]
+            stacked = ps.geodist._ascend(spec, Cih, D, l, starts)
+            alone = [ps.geodist._ascend(spec, Cih, D, l, starts[i:i + 1])[0]
+                     for i in range(len(starts))]
+            assert np.array_equal(stacked, alone), (r, s, l, spec.kind)
 
 
 def test_closed_form_matches_faithful_on_generic_pairs():

@@ -445,6 +445,27 @@ def test_eigendecomposition_counts(monkeypatch):
         assert counts["n"] == want, name
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_derived_matrices_are_not_judged_by_the_caller_rule(monkeypatch, complex_field):
+    # only the caller's C and D pass check_pd (and so check_hermitian); the
+    # matrices the representatives derive from them (D11^{-1/2}, the Schur
+    # complement's ^{-1/2} and the two pencils) keep the lambda <= 0 guard
+    rng = np.random.default_rng(26)
+    C, D = rand_pd(rng, 2), rand_pd(rng, 4)
+    if complex_field:
+        C, D = (M + 0.1j * (R - R.T) for M, R in ((C, rng.normal(size=(2, 2))),
+                                                   (D, rng.normal(size=(4, 4)))))
+    pd_linalg = count_calls(monkeypatch, ps.linalg, "check_pd")
+    pd_pointset = count_calls(monkeypatch, ps.pointset, "check_pd")
+    herm = count_calls(monkeypatch, ps.linalg, "check_hermitian")
+    for call in (ps.project_minus, ps.lift_plus):
+        for c in (pd_linalg, pd_pointset, herm):
+            c["n"] = 0
+        call(C, D)
+        assert pd_linalg["n"] + pd_pointset["n"] == 2, call.__name__
+        assert herm["n"] == 2, call.__name__
+
+
 def test_oracle_two_parameter_minus_matches_qp():
     rng = np.random.default_rng(21)
     for r, s in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)):
