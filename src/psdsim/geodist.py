@@ -27,9 +27,10 @@ from .errors import DomainError, OptimizerError, PsdSimError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
     PsdMatrix,
+    _congruence,
     _descend,
+    _eig_power,
     _herm,
-    _inv_half,
     _principal_angles,
     _right_angles,
     pencil_spectra,
@@ -111,9 +112,11 @@ class _Prepared:
     Qh: np.ndarray     # (m, s, s)
 
     def fibers(self, i):
-        """(C, D) of pair i."""
+        """(C^{-1/2}, D) of pair i. The degenerate paths take C only through
+        C^{-1/2} = P* diag(wA^{-1/2}) P, formed from the factors the
+        alignment already holds, so C is never formed or decomposed."""
         P, Qh = self.P[i], self.Qh[i]
-        return (_herm(P.conj().T @ (self.wA[i][:, None] * P)),
+        return (_eig_power(self.wA[i], P.conj().T, -0.5),
                 _herm(Qh @ (self.wB[i][:, None] * Qh.conj().T)))
 
     def reversed(self, tol):
@@ -248,6 +251,7 @@ def _frame_draws(C, D, l, samples, seed):
     otherwise. Faithful mode's value is the max-min of the 4 tables of
     pencil values over these pairs; _faithful_fiber evaluates only the
     entries that decide it, unless the family's domain forces all of them.
+    C is read only for its size and field, so C^{-1/2} may stand for it.
     """
     r, s = C.shape[0], D.shape[0]
     complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
@@ -257,11 +261,6 @@ def _frame_draws(C, D, l, samples, seed):
     for _ in range(4):
         yield (_sample_group(rng, l, n_s, complex_field),
                _sample_group(rng, s - r + l, n_t, complex_field))
-
-
-def _congruence(G, M):
-    """G M G* for a frame or a stack of frames G."""
-    return G @ M @ np.swapaxes(G.conj(), -1, -2)
 
 
 def _conjugated_block_values(spec, F, D, E):
@@ -322,9 +321,10 @@ def _nearest(queries, points):
     return out
 
 
-def _faithful_fiber(C, D, wC, wD, l, spec: FiberDivergence, samples, seed):
-    """Max-min fiber value over the sampled ambiguity group (l >= 1); wC
-    and wD are the eigenvalues of C and D, descending.
+def _faithful_fiber(C_invhalf, D, wC, wD, l, spec: FiberDivergence, samples, seed):
+    """Max-min fiber value over the sampled ambiguity group (l >= 1), from
+    C^{-1/2} and D of an aligned pair (_Prepared.fibers); wC and wD are the
+    eigenvalues of C and D, descending.
 
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
     pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
@@ -355,11 +355,10 @@ def _faithful_fiber(C, D, wC, wD, l, spec: FiberDivergence, samples, seed):
     every entry is evaluated first, so an undefined pencil raises
     DomainError as the full tables do.
     """
-    r = C.shape[0]
-    Cih = _inv_half(C)
-    S, T = (np.stack(x) for x in zip(*_frame_draws(C, D, l, samples, seed)))
+    r = C_invhalf.shape[0]
+    S, T = (np.stack(x) for x in zip(*_frame_draws(C_invhalf, D, l, samples, seed)))
     n_d, n_s, n_t = len(S), S.shape[1], T.shape[1]
-    F = Cih @ np.swapaxes(_frames(r - l, S.reshape(n_d * n_s, l, l), r).conj(), -1, -2)
+    F = C_invhalf @ np.swapaxes(_frames(r - l, S.reshape(n_d * n_s, l, l), r).conj(), -1, -2)
     E = _frames(r - l, T.reshape((n_d * n_t,) + T.shape[2:]), r)
     Y, X = _congruence(E, D), T[:, :, :l]
     # lines are the rows q = d n_s + i, then the columns R + d n_t + j
@@ -441,22 +440,12 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
 def _cayley(Ts, Om):
     """T (I - Omega/2)^{-1} (I + Omega/2): unitary for skew-Hermitian Omega.
 
-    I - Omega/2 is never singular in exact arithmetic, but at a huge Omega
-    LAPACK can find it so; those rows come back NaN, a point outside the
-    domain. Only after the stacked solve raises are the rows solved one by one.
+    The eigenvalues of I - Omega/2 are 1 - i omega/2, so its condition
+    number is below |Omega|/2 + 1; `linalg._descend` never tries a step
+    longer than 1/sqrt(eps), so the solve is always well posed.
     """
     eye = np.eye(Ts.shape[-1])
-    lhs, rhs = eye - 0.5 * Om, eye + 0.5 * Om
-    try:
-        return Ts @ np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        X = np.full(rhs.shape, np.nan, dtype=rhs.dtype)
-        for i in range(len(X)):
-            try:
-                X[i] = np.linalg.solve(lhs[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return Ts @ X
+    return Ts @ np.linalg.solve(eye - 0.5 * Om, eye + 0.5 * Om)
 
 
 def _ascend(spec, C_invhalf, D, l, Ts):
@@ -464,24 +453,18 @@ def _ascend(spec, C_invhalf, D, l, Ts):
 
     `linalg._descend` minimizes -F with the gradient -Omega, written in
     real coordinates of the skew-Hermitian k x k matrices, and steps by the
-    Cayley retraction; a trial step the retraction cannot take is rejected
-    and backtracked. Returns F at each start's final point, as the descent
-    certified it; raises OptimizerError if no start reached a
-    stationary point within _ASCENT_MAX_ITER iterations. F is
-    pointset._spectrum_objective, whose geoab parameters are at most 1.
+    Cayley retraction. Its step bound keeps every trial point a unitary T
+    to rounding, so every point the ascent evaluates is in the domain.
+    Returns F at each start's final point, as the descent certified it;
+    raises OptimizerError if no start reached a stationary point within
+    _ASCENT_MAX_ITER iterations. F is pointset._spectrum_objective, whose
+    geoab parameters are at most 1.
     """
     m, k = Ts.shape[0], Ts.shape[-1]
 
     def fg(T):
-        singular = None
-        if not np.isfinite(T).all():  # NaN rows: Cayley steps LAPACK found singular
-            singular = np.isnan(T).any(axis=(-2, -1))
-            T = np.where(singular[:, None, None], np.eye(k), T)
         F, Om = _ascent_state(spec, C_invhalf, D, l, T)
-        f, g = -F, -Om.reshape(len(T), -1).view(float)
-        if singular is not None:
-            f[singular], g[singular] = np.inf, 0.0  # outside the domain
-        return f, g
+        return -F, -Om.reshape(len(T), -1).view(float)
 
     def retract(T, p, t):
         P = p.view(Ts.dtype).reshape(-1, k, k)
@@ -494,8 +477,9 @@ def _ascend(spec, C_invhalf, D, l, Ts):
     return -f
 
 
-def gd_degenerate_fiber(C, D, l, spec: FiberDivergence, budget=16, seed=0):
-    """Fiber term on a degenerate stratum (l >= 1 right principal angles).
+def gd_degenerate_fiber(C_invhalf, D, l, spec: FiberDivergence, budget=16, seed=0):
+    """Fiber term on a degenerate stratum (l >= 1 right principal angles),
+    from C^{-1/2} and D of an aligned pair (_Prepared.fibers).
 
     Maximizes the extended divergence over the tail unitary group
     U(s-r+l) (O(s-r+l) for real representations) conjugating the larger
@@ -504,20 +488,20 @@ def gd_degenerate_fiber(C, D, l, spec: FiberDivergence, budget=16, seed=0):
     with a one-dimensional tail, the two signs are enumerated instead).
     The tails depend only on (seed, k, field) and are drawn once per key
     (_coarse_tails), so the value is deterministic given a seed.
-    `gd`'s evaluator, on the alignment fibers of a pair gd has validated.
+    `gd`'s evaluator, on the alignment fibers of a pair gd has validated;
+    no fiber is decomposed here, only stacks of pencils.
     """
-    r, s = C.shape[0], D.shape[0]
+    r, s = C_invhalf.shape[0], D.shape[0]
     k = s - r + l
-    complex_field = np.iscomplexobj(C) or np.iscomplexobj(D)
-    Cih = _inv_half(C)
+    complex_field = np.iscomplexobj(C_invhalf) or np.iscomplexobj(D)
     Ts = _coarse_tails(seed, k, complex_field)
     # coarse sampling pass: the value itself over the two signs of a real
     # one-dimensional tail, otherwise the seeds of the local maximizations
-    coarse = _conjugated_block_values(spec, Cih[None], D, _frames(r - l, Ts, r))[0]
+    coarse = _conjugated_block_values(spec, C_invhalf[None], D, _frames(r - l, Ts, r))[0]
     if k == 1 and not complex_field:
         return float(coarse.max())
     starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
-    final = _fiber_values(spec, _ascend(spec, Cih, D, l, starts))
+    final = _fiber_values(spec, _ascend(spec, C_invhalf, D, l, starts))
     return float(max(coarse.max(), final.max()))
 
 

@@ -23,6 +23,8 @@ from .linalg import (
     PrincipalSystem,
     PsdMatrix,
     Subspace,
+    _congruence,
+    _derived_eig,
     _eig_power,
     _herm,
     _right_angles,
@@ -124,10 +126,8 @@ def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix) -> PsdCurve:
     u = _horizontal_lift(A.compact_factors()[0] @ P, B.compact_factors()[0] @ Qh.conj().T,
                          prep.theta[0])
     Chalf = _eig_power(prep.wA[0], P.conj().T, 0.5)
-    Cih = _eig_power(prep.wA[0], P.conj().T, -0.5)
-    wi, Vi = np.linalg.eigh(_herm(Cih @ prep.fibers(0)[1] @ Cih))
-    if wi[0] <= 0.0:
-        raise DomainError("fiber pencil not positive definite")
+    # the pencil's eigensystem in ascending order, as the curve has always summed it
+    wi, Vi = (x[..., ::-1].copy() for x in _derived_eig(_congruence(*prep.fibers(0))))
 
     def evaluate(t):
         S = _herm(Chalf @ _eig_power(wi, Vi, float(t)) @ Chalf)

@@ -79,12 +79,21 @@ def psd_power(M, p):
     return _eig_power(w, V, p)
 
 
-def _inv_half(X):
-    """X^{-1/2} of a positive definite Hermitian X, from one eigh."""
-    lam, V = np.linalg.eigh(_herm(X))
-    if lam[0] <= 0.0:
-        raise DomainError("fiber representation not positive definite")
-    return _eig_power(lam, V, -0.5)
+def _congruence(G, M):
+    """G M G*, formed as (G M) G*, for a matrix or a stack of them: the one
+    product order of every pencil and every derived matrix."""
+    return (G @ M) @ np.swapaxes(G.conj(), -1, -2)
+
+
+def _derived_eig(M):
+    """Eigensystem (w, V) of the Hermitian part of a matrix derived from
+    validated inputs, w descending. Such a matrix is positive definite by
+    construction and is not judged by check_pd again: only an eigenvalue
+    rounded to <= 0 raises."""
+    w, V = np.linalg.eigh(_herm(M))
+    if w[0] <= 0.0:
+        raise DomainError("derived matrix not positive definite")
+    return w[::-1].copy(), V[:, ::-1].copy()
 
 
 def pencil_spectra(F, Y):
@@ -101,11 +110,11 @@ def pencil_spectra(F, Y):
     sampled values of `gd` (the coarse pass of `algorithm1` and faithful
     mode's gathered entries) take their spectra from here. The closed form
     of `gd` takes sigma(K)^2 instead, and the paths that also need
-    eigenvectors (the degenerate ascent, the point-set witnesses) call eigh
-    on F Y F* themselves.
+    eigenvectors (the degenerate ascent, and through _derived_eig the
+    point-set witnesses and the quasi-geodesic) call eigh on F Y F*, formed
+    by the same products (_congruence).
     """
-    W = (F @ Y) @ np.swapaxes(F.conj(), -1, -2)
-    return np.linalg.eigvalsh(_herm(W))[..., ::-1]
+    return np.linalg.eigvalsh(_herm(_congruence(F, Y)))[..., ::-1]
 
 
 def _pencil_from_eig(w, V, Y):
@@ -308,6 +317,11 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+# norm bound M of a trial step of _descend, 1/sqrt(eps) = 2^26: set by double
+# precision alone
+_MAX_STEP = np.finfo(float).eps ** -0.5
+
+
 def _descend(fg, retract, X, max_iter):
     """Batched quasi-Newton descent of f from every start in the stack X.
 
@@ -316,10 +330,14 @@ def _descend(fg, retract, X, max_iter):
     under left translation); retract(X, p, t) moves each X along direction
     p by step t. Each start keeps a BFGS inverse Hessian, first scaled by
     the Barzilai-Borwein step <s, y>/<y, y>, and takes Armijo backtracking
-    steps. A start stops once |g| <= 1e-7 (1 + |f|), or when no step lowers
-    f, which then sits at its resolution. f = +inf marks a point outside
-    the domain. Returns the final stack, f, and per start whether it met
-    the gradient rule.
+    steps. Each search starts at t = min(1, M / |p|), M = _MAX_STEP: a
+    direction from a badly scaled inverse Hessian can be 1e18 long, and a
+    trial point that far off tells the search nothing while a retraction
+    may not be able to take it. Double precision sets M, and no step
+    shorter than M is cut. A start stops once |g| <= 1e-7 (1 + |f|), or
+    when no step lowers f, which then sits at its resolution. f = +inf
+    marks a point outside the domain. Returns the final stack, f, and per
+    start whether it met the gradient rule.
 
     When every start still searching accepts its trial step, as nearly all
     do at the full step t = 1, the update is applied to them as one stack,
@@ -339,7 +357,7 @@ def _descend(fg, retract, X, max_iter):
             break
         p = -np.einsum("mij,mj->mi", Hinv[idx], g[idx])
         slope = np.add.reduce(p * g[idx], axis=1)
-        t = np.ones(idx.size)
+        t = _MAX_STEP / np.maximum(_row_norms(p), _MAX_STEP)  # min(1, M / |p|), 1 at p = 0
         for _ in range(30):
             X_try = retract(X[idx], p, t)
             f_try, g_try = fg(X_try)

@@ -27,7 +27,7 @@ import numpy as np
 from .divergences import (GEODESIC_AB, FiberDivergence, _defined, _fiber_values, _objective,
                           _unit_scaled, geodesic_ab_is_distance_check)
 from .errors import DomainError, OptimizerError
-from .linalg import _eig_power, _herm, _pencil_from_eig, check_pd
+from .linalg import _congruence, _derived_eig, _eig_power, _herm, _pencil_from_eig, check_pd
 
 
 @dataclass
@@ -217,23 +217,13 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
 # --- optimal representatives -----------------------------------------
 
 
-def _derived_eig(M):
-    """Eigensystem (w, V) of a Hermitian matrix derived from a validated
-    pair, w descending; positive definite by construction, so only the
-    lambda <= 0 rounding guard judges it."""
-    w, V = np.linalg.eigh(_herm(M))
-    if w[0] <= 0.0:
-        raise DomainError("derived matrix not positive definite")
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
 def project_minus(C, D) -> ProjectionWitness:
     """The unique point of Omega_minus(D) closest to C, for every family."""
     C, D, r, s, eigC = _check_pair(C, D)
     D11 = D[:r, :r]
     Chalf = _eig_power(*eigC, 0.5)
     Cih = _eig_power(*eigC, -0.5)
-    lam_raw, V = _derived_eig(Cih @ D11 @ Cih)
+    lam_raw, V = _derived_eig(_congruence(Cih, D11))
     lam = np.maximum(1.0, lam_raw)
     if np.all(lam_raw >= 1.0):
         dminus = D11.copy()
@@ -250,7 +240,7 @@ def lift_plus(C, D) -> LiftWitness:
     C, D, r, s, _ = _check_pair(C, D)
     D11, D12 = D[:r, :r], D[:r, r:]
     Dih = _eig_power(*_derived_eig(D11), -0.5)
-    lam_raw, V = _derived_eig(Dih @ C @ Dih)
+    lam_raw, V = _derived_eig(_congruence(Dih, C))
     Z = np.zeros((s, s), dtype=np.result_type(C, D))
     Z[:r, :r] = V.conj().T @ Dih
     if s > r:

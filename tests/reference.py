@@ -11,9 +11,8 @@ import numpy as np
 
 from psdsim.divergences import FiberDivergence, _fiber_values, _objective
 from psdsim.errors import DomainError
-from psdsim.geodist import (_check_integers, _congruence, _conjugated_block_values, _frame_draws,
-                            _frames, _prepare)
-from psdsim.linalg import PsdMatrix, _descend, _eig_power, _herm, _inv_half, psd_power
+from psdsim.geodist import _check_integers, _conjugated_block_values, _frame_draws, _frames, _prepare
+from psdsim.linalg import PsdMatrix, _congruence, _descend, _eig_power, _herm, psd_power
 from psdsim.pointset import _check_pair
 
 
@@ -54,7 +53,8 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     if A.rank > B.rank:
         A, B = B, A
     prep = _prepare([A], [B])
-    C, D = prep.fibers(0)
+    D = prep.fibers(0)[1]
+    C = _eig_power(prep.wA[0], prep.P[0].conj().T, 1.0)
     r, s, l = C.shape[0], D.shape[0], int(prep.l[0])
     pairs = []
     for S, T in _frame_draws(C, D, l, grid, seed):
@@ -64,19 +64,19 @@ def representation_set(A: PsdMatrix, B: PsdMatrix, grid=256, seed=0):
     return pairs
 
 
-def faithful_fiber(C, D, l, spec: FiberDivergence, samples, seed):
-    """Directed max-min fiber value over the sampled ambiguity group (l >= 1).
+def faithful_fiber(C_invhalf, D, l, spec: FiberDivergence, samples, seed):
+    """Directed max-min fiber value over the sampled ambiguity group (l >= 1),
+    from C^{-1/2} and D of an aligned pair (_Prepared.fibers).
 
     A left frame G enters through (G C G*)^{-1/2} = G C^{-1/2} G*, so the
     pair (G, H) has the pencil of the factor C^{-1/2} G* and Y = (H D H*)_11
     = E D E* with E = H[:r]. Each of the 4 draws is one (n_s, n_t) table of
     pencil values (_conjugated_block_values).
     """
-    r = C.shape[0]
-    Cih = _inv_half(C)
+    r = C_invhalf.shape[0]
     d1 = d2 = -np.inf
-    for S, T in _frame_draws(C, D, l, samples, seed):
-        F = Cih @ np.swapaxes(_frames(r - l, S, r).conj(), -1, -2)
+    for S, T in _frame_draws(C_invhalf, D, l, samples, seed):
+        F = C_invhalf @ np.swapaxes(_frames(r - l, S, r).conj(), -1, -2)
         vals = _conjugated_block_values(spec, F, D, _frames(r - l, T, r))
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))

@@ -272,31 +272,43 @@ def test_two_parameter_fiber_outside_its_region_raises():
             ps.gd(C, D, spec(-0.5, mode), budget=2, samples=64)
 
 
-def test_degenerate_ascent_rejects_singular_cayley_steps(monkeypatch):
-    # l = 1 with a real 3-dimensional tail. Under burg:8 on B scaled by 1e4
-    # the first trial steps of the ascent are so long that LAPACK finds
-    # I - Omega/2 singular in the stacked solve; _cayley then solves row by
-    # row, and a step it cannot take is rejected and backtracked
-    solve, stacked_failures = np.linalg.solve, []
+def _record_ascent(monkeypatch):
+    """Record, while gd runs, whether any np.linalg.solve raises and the
+    largest |T* T - I| over every tail T the degenerate ascent evaluates."""
+    seen = {"raised": False, "off_unitary": 0.0}
+    solve, state = np.linalg.solve, ps.geodist._ascent_state
 
-    def counted(a, b):
+    def solve_recorded(a, b):
         try:
             return solve(a, b)
         except np.linalg.LinAlgError:
-            stacked_failures.append(np.ndim(a) > 2)
+            seen["raised"] = True
             raise
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def state_recorded(spec, C_invhalf, D, l, Ts):
+        gram = np.swapaxes(Ts.conj(), -1, -2) @ Ts
+        seen["off_unitary"] = max(seen["off_unitary"], float(np.abs(gram - np.eye(Ts.shape[-1])).max()))
+        return state(spec, C_invhalf, D, l, Ts)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_recorded)
+    monkeypatch.setattr(ps.geodist, "_ascent_state", state_recorded)
+    return seen
+
+
+def test_degenerate_ascent_trial_points_stay_unitary(monkeypatch):
+    # l = 1 with a real 3-dimensional tail. Under burg:8 on B scaled by 1e4
+    # the unbounded first directions of the ascent are about 1e18 long; the
+    # descent's step bound keeps every Cayley solve well posed, and every
+    # trial point a unitary T
+    seen = _record_ascent(monkeypatch)
     A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
     B = np.diag([3.0, 0.0, 1.0, 2.0, 0.5])
     res = ps.gd(A, ps.PsdMatrix(1e4 * B), ps.MetricSpec(GM.GEODESIC, FD.burg(8.0)))
     assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
-    assert any(stacked_failures)
     assert abs(res.fiber_term - 1.0253125e34) <= 1e-12 * 1.0253125e34
-    # geoab's objective is formed at parameters of size at most 1, so its
-    # ascent takes no such step, and fiber / sqrt(beta) stays where
-    # beta = 1e12 puts it, up to 1e308
-    del stacked_failures[:]
+    assert not seen["raised"] and seen["off_unitary"] <= 1e-8, seen
+    # geoab's objective is formed at parameters of size at most 1, and
+    # fiber / sqrt(beta) stays where beta = 1e12 puts it, up to 1e308
     for seed in (0, 1):
         values = []
         for beta in (1e12, 1e20, 1e30, 1e100, 1e200, 1e300, 1e308):
@@ -305,7 +317,24 @@ def test_degenerate_ascent_rejects_singular_cayley_steps(monkeypatch):
             assert res.stratum_index == 1 and res.mode == "optimizedDegenerate"
             values.append(res.fiber_term / math.sqrt(beta))
         assert all(abs(v - values[0]) <= 1e-9 * values[0] for v in values), (seed, values)
-    assert stacked_failures == []
+    assert not seen["raised"] and seen["off_unitary"] <= 1e-8, seen
+
+
+@pytest.mark.parametrize("fiber, scale", [("burg:8", 1e2), ("burg:4", 1e4)])
+def test_ill_scaled_burg_ascent_converges_below_the_spectral_bound(fiber, scale, monkeypatch):
+    # unbounded trial steps of norm up to 1e18 left every start stalled on
+    # these pairs, and gd raised OptimizerError at budget 16 and at budget 64
+    seen = _record_ascent(monkeypatch)
+    A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0, 0.0, 0.0]))
+    B = ps.PsdMatrix(scale * np.diag([0.0, 1.0, 2.0, 0.5, 3.0]))
+    spec = ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber))
+    wA, wB = A.compact_factors()[1], B.compact_factors()[1]
+    bound = float(ps.pointset._spectrum_values(spec.fiber, wB[:2] / wA[::-1]))
+    value = ps.gd(A, B, spec).fiber_term
+    assert ps.gd(A, B, spec).stratum_index == 1
+    assert value <= bound * (1.0 + 1e-12), (value, bound)
+    assert abs(value - ps.gd(A, B, spec, budget=64).fiber_term) <= 1e-9 * value
+    assert not seen["raised"] and seen["off_unitary"] <= 1e-8, seen
 
 
 def test_huge_beta_values_are_finite():
@@ -355,10 +384,10 @@ def test_degenerate_sign_enumeration_is_exact():
 def test_degenerate_constant_objective_ignores_budget():
     # right fiber representation proportional to the identity: the residual
     # rotations act trivially, so any budget returns the same value
-    C = np.diag([1.0, 2.0])
+    C_invhalf = np.diag([1.0, 2.0 ** -0.5])
     D = np.eye(3) * 3.0
-    v1 = ps.geodist.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=2, seed=0)
-    v2 = ps.geodist.gd_degenerate_fiber(C, D, 1, FD.geodesic(), budget=20, seed=5)
+    v1 = ps.geodist.gd_degenerate_fiber(C_invhalf, D, 1, FD.geodesic(), budget=2, seed=0)
+    v2 = ps.geodist.gd_degenerate_fiber(C_invhalf, D, 1, FD.geodesic(), budget=20, seed=5)
     assert abs(v1 - v2) <= 1e-9
 
 
@@ -401,7 +430,7 @@ def test_seed_must_be_a_nonnegative_integer():
 
 
 def _degenerate_fibers(rng, r, s, l, complex_field):
-    """gd's alignment fibers (C, D) of a random pair with l right angles."""
+    """gd's alignment fibers (C^{-1/2}, D) of a random pair with l right angles."""
     A, B = degenerate_pair(rng, 10, r, s, l, complex_field)
     prep = ps.geodist._prepare([A], [B])
     assert prep.l[0] == l
@@ -418,8 +447,8 @@ def test_coarse_tails_are_drawn_once_per_seed_tail_size_and_field(monkeypatch):
     qr = count_calls(monkeypatch, np.linalg, "qr")
     for complex_field, pairs in fields.items():
         for seed, draws in ((0, 1), (0, 1), (1, 2), (0, 2)):
-            for C, D in pairs:
-                ps.geodist.gd_degenerate_fiber(C, D, 2, spec, budget=2, seed=seed)
+            for Cih, D in pairs:
+                ps.geodist.gd_degenerate_fiber(Cih, D, 2, spec, budget=2, seed=seed)
             assert qr["n"] == draws + 2 * complex_field, (complex_field, seed)
     for (seed, k, complex_field), Ts in ps.geodist._coarse_cache.items():
         assert k == 3
@@ -505,8 +534,7 @@ def test_stacked_ascent_equals_each_start_alone(complex_field):
     # reaches the same value, bit for bit, in the stack and in a stack of one
     rng = np.random.default_rng(29)
     for r, s, l in ((3, 4, 1), (4, 5, 2), (3, 5, 2), (4, 6, 3)):
-        C, D = _degenerate_fibers(rng, r, s, l, complex_field)
-        Cih = ps.geodist._inv_half(C)
+        Cih, D = _degenerate_fibers(rng, r, s, l, complex_field)
         k = s - r + l
         for spec in (FD.geodesic(), FD.kl()):
             Ts = ps.geodist._coarse_tails(0, k, complex_field)
@@ -817,7 +845,7 @@ def test_ascent_gradient_matches_finite_difference(complex_field, fiber):
     k = s - r + l
     C, D = (_rand_complex_psd(rng, n, n).entries if complex_field else rand_pd(rng, n, 0.3, 3.0)
             for n in (r, s))
-    Cih = ps.geodist._inv_half(C)
+    Cih = ps.psd_power(C, -0.5)
     Ts = ps.geodist._random_unitaries(rng, 4, k, complex_field)
     F, Om = ps.geodist._ascent_state(spec, Cih, D, l, Ts)
     X = rng.normal(size=(4, k, k))
@@ -1021,7 +1049,7 @@ def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monk
     # at 1e5 samples the 4 tables hold 4 x 158 x 158 = 99,856 entries; the
     # branch and bound returns their max-min bit for bit from a fifth of them
     A, B = example_pair()
-    C, D = ps.geodist._prepare([A], [B]).fibers(0)
+    Cih, D = ps.geodist._prepare([A], [B]).fibers(0)
     entries = {"n": 0}
     evaluate = ps.geodist._entry_values
 
@@ -1034,7 +1062,7 @@ def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monk
         entries["n"] = 0
         res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
                     samples=100_000, seed=seed)
-        assert res.fiber_term == faithful_fiber(C, D, 2, fiber, 100_000, seed), fiber.kind
+        assert res.fiber_term == faithful_fiber(Cih, D, 2, fiber, 100_000, seed), fiber.kind
         assert 0 < entries["n"] <= 0.2 * 99_856, (fiber.kind, entries["n"])
 
 
@@ -1049,12 +1077,13 @@ def test_faithful_evaluates_every_entry_unless_the_domain_is_certified(
     fiber = FD.itakura_saito(alpha)
     spec = ps.MetricSpec(GM.GEODESIC, fiber, "faithful")
     A, B = degenerate_pair(np.random.default_rng(pair_seed), 6, 3, 3, 2, complex_field=True)
-    C, D = ps.geodist._prepare([A], [B]).fibers(0)
-    wC, wD = np.linalg.eigvalsh(C), np.linalg.eigvalsh(D)
-    assert wD[0] / wC[-1] < math.exp(1.0 / alpha) < wD[-1] / wC[0]
+    prep = ps.geodist._prepare([A], [B])
+    Cih, D = prep.fibers(0)
+    wC, wD = prep.wA[0], prep.wB[0]
+    assert wD[-1] / wC[0] < math.exp(1.0 / alpha) < wD[0] / wC[-1]
     if raises:
         with pytest.raises(ps.DomainError) as want:
-            faithful_fiber(C, D, 2, fiber, 2000, 0)
+            faithful_fiber(Cih, D, 2, fiber, 2000, 0)
         with pytest.raises(ps.DomainError) as got:
             ps.gd(A, B, spec, samples=2000)
         assert str(got.value) == str(want.value)
@@ -1062,26 +1091,27 @@ def test_faithful_evaluates_every_entry_unless_the_domain_is_certified(
         assert math.isfinite(ps.gd(A, B, spec, samples=2000).fiber_term)
     else:
         res = ps.gd(A, B, spec, samples=2000)
-        assert res.fiber_term == faithful_fiber(C, D, 2, fiber, 2000, 0)
+        assert res.fiber_term == faithful_fiber(Cih, D, 2, fiber, 2000, 0)
 
 
-def test_faithful_degenerate_decomposes_c_once(monkeypatch):
-    # every left frame G uses C^-1/2 G* in place of (G C G*)^-1/2, and the
-    # domain box comes from the spectra of C and D that gd already holds:
-    # eigvalsh sees only stacks of pencils, never C or D alone
+@pytest.mark.parametrize("mode", ["algorithm1", "faithful"])
+def test_degenerate_gd_decomposes_no_fiber_alone(mode, monkeypatch):
+    # C^-1/2 comes from the alignment's factors, every left frame G uses
+    # C^-1/2 G* in place of (G C G*)^-1/2, and the domain box comes from the
+    # spectra of C and D that gd already holds: eigh and eigvalsh see only
+    # stacks of pencils, never C, D or any other single matrix
     A, B = example_pair()
-    eigh = count_calls(monkeypatch, np.linalg, "eigh")
-    eigvalsh, shapes = np.linalg.eigvalsh, []
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful"), samples=20000)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), mode), samples=20000)
     assert res.stratum_index == 2
-    assert eigh["n"] == 1
-    assert shapes and all(len(shape) > 2 for shape in shapes), shapes
+    assert shapes["eigh"] or mode == "faithful"
+    assert all(len(shape) > 2 for shape in shapes["eigh"] + shapes["eigvalsh"]), shapes
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

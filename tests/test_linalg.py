@@ -1,6 +1,7 @@
 """Core factorizations, principal angles, and fiber representations."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -354,3 +355,26 @@ def test_complex_inputs_supported():
     assert A.field == "complex" and A.rank == 4
     lam = ps.pencil_eigenvalues(H, H)
     assert np.abs(lam - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("curvature", [1e30, 1e110])
+def test_descent_bounds_its_trial_steps(curvature):
+    # f = a |x|^2 / 2 from |x| ~ 1: the first direction -g is about a long.
+    # No trial step is longer than 1/sqrt(eps), none overflows f, and the
+    # descent converges; without the bound it tried a step of length a, then
+    # ran out of backtracking at a = 1e30 and overflowed at a = 1e110
+    def fg(x):
+        return 0.5 * curvature * np.add.reduce(x * x, axis=1), curvature * x
+
+    lengths = []
+
+    def line(x, p, t):
+        lengths.extend(t * np.linalg.norm(p, axis=1))
+        return x + t[:, None] * p
+
+    x0 = np.array([[1.0, 1.0, 1.0], [-2.0, 0.5, 3.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, f, done = ps.linalg._descend(fg, line, x0, 500)
+    assert max(lengths) <= np.finfo(float).eps ** -0.5
+    assert done.all() and f.max() <= 1e-50, f

@@ -141,9 +141,9 @@ def test_faithful_value_is_the_full_table_max_min(pair, seed):
     # max-min, and returns the full tables' value bit for bit
     A, B, l, fiber = pair
     res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"), samples=2000, seed=seed)
-    C, D = ps.geodist._prepare([A], [B]).fibers(0)
+    Cih, D = ps.geodist._prepare([A], [B]).fibers(0)
     assert res.stratum_index == l
-    assert res.fiber_term == faithful_fiber(C, D, l, fiber, 2000, seed)
+    assert res.fiber_term == faithful_fiber(Cih, D, l, fiber, 2000, seed)
 
 
 @st.composite
