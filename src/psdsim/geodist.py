@@ -22,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .divergences import FiberDivergence, _fiber_values
+from .divergences import FiberDivergence, _fiber_values, apply_bound
 from .errors import DomainError, OptimizerError, PsdSimError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
@@ -496,13 +496,17 @@ def gd_degenerate_fiber(C_invhalf, D, l, spec: FiberDivergence, budget=16, seed=
     complex_field = np.iscomplexobj(C_invhalf) or np.iscomplexobj(D)
     Ts = _coarse_tails(seed, k, complex_field)
     # coarse sampling pass: the value itself over the two signs of a real
-    # one-dimensional tail, otherwise the seeds of the local maximizations
-    coarse = _conjugated_block_values(spec, C_invhalf[None], D, _frames(r - l, Ts, r))[0]
-    if k == 1 and not complex_field:
-        return float(coarse.max())
-    starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
-    final = _fiber_values(spec, _ascend(spec, C_invhalf, D, l, starts))
-    return float(max(coarse.max(), final.max()))
+    # one-dimensional tail, otherwise the seeds of the local maximizations.
+    # It ranks by the value the ascent climbs, before the bound, which is
+    # increasing and applied once to the max: a saturated +clamp ties every
+    # bounded value
+    unbounded = replace(spec, bound=None)
+    coarse = _conjugated_block_values(unbounded, C_invhalf[None], D, _frames(r - l, Ts, r))[0]
+    best = coarse.max()
+    if k > 1 or complex_field:
+        starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
+        best = max(best, _fiber_values(unbounded, _ascend(spec, C_invhalf, D, l, starts)).max())
+    return float(apply_bound(spec, best))
 
 
 # --- the distance -----------------------------------------------------

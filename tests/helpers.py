@@ -114,6 +114,20 @@ def degenerate_pair(rng, n, r, s, l, complex_field=False, theta=None):
     return mats
 
 
+def saturated_clamp_pair():
+    """Ranks r = s = l = 2: a = (u1, u2, 0, 0) against 100 R diag(0, 0, u3, u4) R*,
+    R a rotation of the last two coordinates, u and its angle from
+    default_rng(0). Under kl+clamp=0.5 every sampled value of algorithm1
+    saturates the clamp."""
+    rng = np.random.default_rng(0)
+    u = [rng.uniform(0.5, 2.0) for _ in range(4)]
+    theta = rng.uniform(0.0, np.pi)
+    R = np.eye(4)
+    R[2:, 2:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    B = 100.0 * R @ np.diag([0.0, 0.0, u[2], u[3]]) @ R.T
+    return ps.PsdMatrix(np.diag([u[0], u[1], 0.0, 0.0])), ps.PsdMatrix(0.5 * (B + B.T))
+
+
 def min_quadratic_box_enumerated(alpha, beta, c):
     """Reference for pointset._min_quadratic_box on one descending c.
 

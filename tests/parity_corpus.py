@@ -19,14 +19,13 @@ machine write the same bytes.
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 import psdsim as ps
-from helpers import degenerate_pair, example_pair, rand_pd, rand_psd_rank
+from helpers import degenerate_pair, example_pair, rand_pd, rand_psd_rank, saturated_clamp_pair
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_corpus.json")
 
@@ -66,19 +65,6 @@ def _rotated_pair(seed, n, r, s, l, scale=1.0):
     return U @ a @ U.conj().T, scale * (U @ b @ U.conj().T)
 
 
-def _clamp_pair():
-    """a = (u1, u2, 0, 0) against 100 R(theta) diag(0, 0, u3, u4) R(theta)*,
-    R rotating the last two coordinates: one right angle, and under kl+clamp
-    every coarse value of algorithm1 saturates the bound."""
-    rng = np.random.default_rng(0)
-    u = [rng.uniform(0.5, 2.0) for _ in range(4)]
-    theta = rng.uniform(0.0, math.pi)
-    R = np.eye(4)
-    R[2:, 2:] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    B = 100.0 * R @ np.diag([0.0, 0.0, u[2], u[3]]) @ R.T
-    return np.diag([u[0], u[1], 0.0, 0.0]), 0.5 * (B + B.T)
-
-
 def pairs():
     """name -> (A, B) as arrays; one generic pair, the rest degenerate."""
     out = {"worked": tuple(X.entries for X in example_pair())}
@@ -95,7 +81,7 @@ def pairs():
     A = np.diag([1.0, 2.0, 0.0, 0.0, 0.0])
     out["diag_1e2"] = (A, 100.0 * np.diag([0.0, 1.0, 2.0, 0.5, 3.0]))
     out["diag_1e4"] = (A, 1e4 * np.diag([3.0, 0.0, 1.0, 2.0, 0.5]))
-    out["clamp"] = _clamp_pair()
+    out["clamp"] = tuple(X.entries for X in saturated_clamp_pair())
     out["generic"] = (rand_psd_rank(np.random.default_rng(30), 6, 2).entries,
                       rand_psd_rank(np.random.default_rng(31), 6, 3).entries)
     return out

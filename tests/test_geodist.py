@@ -21,6 +21,7 @@ from helpers import (
     rand_orthogonal,
     rand_pd,
     rand_psd_rank,
+    saturated_clamp_pair,
 )
 from reference import faithful_fiber, generalized_hausdorff, representation_set
 
@@ -379,6 +380,29 @@ def test_degenerate_sign_enumeration_is_exact():
     assert res.stratum_index == 1
     again = ps.gd(A, B, GEO_GEO, budget=64)
     assert res.total == again.total
+
+
+def test_degenerate_starts_are_ranked_before_the_bound(monkeypatch):
+    # under kl+clamp=0.5 every coarse value of this pair saturates the clamp. Ranked by bounded values the starts
+    # were arbitrary, and at seed 3 none of them converged (OptimizerError).
+    # Ranked by the unbounded value, the ascent starts from the tails kl
+    # starts from, and the bound applies once to the max
+    A, B = saturated_clamp_pair()
+    ascend, starts = ps.geodist._ascend, []
+
+    def recorded(spec, C_invhalf, D, l, Ts):
+        starts.append(Ts)
+        return ascend(spec, C_invhalf, D, l, Ts)
+
+    monkeypatch.setattr(ps.geodist, "_ascend", recorded)
+    for seed in range(4):
+        kl = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.kl()), seed=seed)
+        for fiber, want in (("kl+clamp=0.5", 0.5), ("kl+ratio", kl.fiber_term / (1 + kl.fiber_term))):
+            res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, ps.parse_divergence(fiber)), seed=seed)
+            assert res.stratum_index == 2
+            assert abs(res.fiber_term - want) <= 1e-12 * want, (fiber, seed, res.fiber_term)
+            assert np.array_equal(starts[-1], starts[0]), (fiber, seed)
+        del starts[:]
 
 
 def test_degenerate_constant_objective_ignores_budget():
