@@ -497,9 +497,8 @@ def gd_degenerate_fiber(C_invhalf, D, l, spec: FiberDivergence, budget=16, seed=
     Ts = _coarse_tails(seed, k, complex_field)
     # coarse sampling pass: the value itself over the two signs of a real
     # one-dimensional tail, otherwise the seeds of the local maximizations.
-    # It ranks by the value the ascent climbs, before the bound, which is
-    # increasing and applied once to the max: a saturated +clamp ties every
-    # bounded value
+    # Both run before the increasing bound, which a saturated +clamp makes
+    # tie everywhere, and the bound applies once to the max
     unbounded = replace(spec, bound=None)
     coarse = _conjugated_block_values(unbounded, C_invhalf[None], D, _frames(r - l, Ts, r))[0]
     best = coarse.max()

@@ -126,7 +126,7 @@ def quasi_geodesic_curve(A: PsdMatrix, B: PsdMatrix) -> PsdCurve:
     u = _horizontal_lift(A.compact_factors()[0] @ P, B.compact_factors()[0] @ Qh.conj().T,
                          prep.theta[0])
     Chalf = _eig_power(prep.wA[0], P.conj().T, 0.5)
-    # the pencil's eigensystem in ascending order, as the curve has always summed it
+    # ascending: evaluate sums the pencil's powers in eigh's order
     wi, Vi = (x[..., ::-1].copy() for x in _derived_eig(_congruence(*prep.fibers(0))))
 
     def evaluate(t):
