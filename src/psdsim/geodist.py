@@ -265,17 +265,9 @@ def _frame_draws(C, D, l, samples, seed):
 
 def _conjugated_block_values(spec, F, D, E):
     """(len(F), len(E)) table of the pencil values of factors F against
-    Y = E D E*, for stacks of factors F and of right-frame rows E.
-
-    Chunks of factors, each chunk's (rows, len(E), r, r) stack within
-    _CHUNK_BYTES, go through pencil_spectra and the value map as one stack;
-    pencil_spectra forms each pair by the same products in any stack, so
-    the table is the same for any chunk size.
-    """
-    Y = _congruence(E, D)
-    rows = max(1, _CHUNK_BYTES // Y.nbytes)
-    return np.concatenate([_spectrum_values(spec, pencil_spectra(F[i:i + rows, None], Y))
-                           for i in range(0, len(F), rows)])
+    Y = E D E*, for stacks of F and of right-frame rows E, by _entry_values."""
+    i, j = np.divmod(np.arange(len(F) * len(E)), len(E))
+    return _entry_values(spec, F, _congruence(E, D), i, j).reshape(len(F), len(E))
 
 
 # the smallest entries of each identity row whose tails T[:l] become the
@@ -284,13 +276,15 @@ _TARGETS = 8
 
 
 def _entry_values(spec, F, Y, i, j):
-    """Values of the table entries (F[i[e]], Y[j[e]]) of _conjugated_block_values.
+    """Pencil values of the pairs (F[i[e]], Y[j[e]]): the one loop that turns
+    sampled pencils into values, for the coarse pass of algorithm1 and the
+    entries of faithful mode's tables alike.
 
     Chunks of entries, whose gathered factors and Ys together fit
     _CHUNK_BYTES, go through pencil_spectra as paired stacks and then the
     value map. pencil_spectra forms each pair by the same two r x r
-    products in any stack, so each entry is its value in the full table
-    bit for bit.
+    products in any stack, so an entry's value does not depend on the
+    chunk or on the other entries, bit for bit.
     """
     out = np.empty(len(i))
     step = max(1, _CHUNK_BYTES // (2 * F[0].nbytes))
@@ -418,21 +412,22 @@ _ASCENT_MAX_ITER = 500
 def _ascent_state(spec, C_invhalf, D, l, Ts):
     """Objective F and Riemannian gradient Omega for a stack of tails T.
 
-    H = blkdiag(I, T) and E = H[:r], so W = C^{-1/2} E D E* C^{-1/2}. With
-    W = V diag(lambda) V* and G = V diag(F'(lambda)) V*, the Euclidean
-    gradient of F in E is 2 C^{-1/2} G C^{-1/2} E D; only the first l rows
-    of T enter E, so its tail block is the gradient in T. Omega =
-    skew(T* grad) is the gradient in the Lie algebra under T -> T exp(Omega).
+    H = blkdiag(I, T) and E = H[:r]. W = C^{-1/2} (E D E*) C^{-1/2} is formed
+    by the products of pencil_spectra, so at any tail its eigh sees the
+    coarse pass's matrix bit for bit. With W = V diag(lambda) V* and
+    G = V diag(F'(lambda)) V*, the Euclidean gradient of F in E is
+    2 C^{-1/2} G C^{-1/2} E D; only the first l rows of T enter E, so its
+    tail block is the gradient in T. Omega = skew(T* grad) is the gradient
+    in the Lie algebra under T -> T exp(Omega).
     """
     r = C_invhalf.shape[0]
     i0 = r - l
-    CE = C_invhalf @ _frames(i0, Ts, r)
-    Z = CE @ D
-    W = Z @ np.swapaxes(CE.conj(), -1, -2)
-    lam, V = np.linalg.eigh(_herm(W))
+    E = _frames(i0, Ts, r)
+    ED = E @ D  # Y = (E D) E*, the products of _congruence(E, D)
+    lam, V = np.linalg.eigh(_herm(_congruence(C_invhalf, ED @ np.swapaxes(E.conj(), -1, -2))))
     F, dF = _spectrum_objective(spec, lam[..., ::-1], with_grad=True)
     G = (V * dF[..., ::-1][..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-    grad = 2.0 * (C_invhalf @ G @ Z)[:, i0:, i0:]
+    grad = 2.0 * ((C_invhalf[i0:] @ G) @ C_invhalf) @ ED[:, :, i0:]
     X = np.swapaxes(Ts[:, :l].conj(), -1, -2) @ grad
     return F, 0.5 * (X - np.swapaxes(X.conj(), -1, -2))
 
@@ -451,29 +446,37 @@ def _cayley(Ts, Om):
 def _ascend(spec, C_invhalf, D, l, Ts):
     """Batched Riemannian quasi-Newton ascent of F from every start in Ts.
 
-    `linalg._descend` minimizes -F with the gradient -Omega, written in
-    real coordinates of the skew-Hermitian k x k matrices, and steps by the
-    Cayley retraction. Its step bound keeps every trial point a unitary T
-    to rounding, so every point the ascent evaluates is in the domain.
-    Returns F at each start's final point, as the descent certified it;
-    raises OptimizerError if no start reached a stationary point within
-    _ASCENT_MAX_ITER iterations. F is pointset._spectrum_objective, whose
-    geoab parameters are at most 1.
+    `linalg._descend` minimizes -F with the gradient -Omega, written in the
+    coordinates of an orthonormal basis of the skew-Hermitian k x k
+    matrices under Re tr(A* B): k(k-1)/2 of them over the reals (none at
+    k = 1, where each start is final) and k^2 over the complex numbers. It
+    steps by the Cayley retraction, and its step bound keeps every trial
+    point a unitary T to rounding, so every point the ascent evaluates is
+    in the domain. Returns F at each start's final point, as the descent
+    certified it; raises OptimizerError if no start reached a stationary
+    point within _ASCENT_MAX_ITER iterations. F is
+    pointset._spectrum_objective, whose geoab parameters are at most 1.
     """
-    m, k = Ts.shape[0], Ts.shape[-1]
+    k = Ts.shape[-1]
+    # (e_i e_j* - e_j e_i*)/sqrt 2, i < j; complex also i (e_i e_j* + e_j e_i*)/sqrt 2, i e_i e_i*
+    units, (i, j) = np.eye(k * k), np.triu_indices(k, 1)
+    basis = [(units[i * k + j] - units[j * k + i]) * 0.5 ** 0.5]
+    if np.iscomplexobj(Ts):
+        basis += [(units[i * k + j] + units[j * k + i]) * (0.5 ** 0.5 * 1j),
+                  1j * units[np.arange(k) * (k + 1)]]
+    basis = np.concatenate(basis)
 
     def fg(T):
         F, Om = _ascent_state(spec, C_invhalf, D, l, T)
-        return -F, -Om.reshape(len(T), -1).view(float)
+        return -F, -(Om.reshape(len(T), -1) @ basis.conj().T).real
 
     def retract(T, p, t):
-        P = p.view(Ts.dtype).reshape(-1, k, k)
-        return _cayley(T, t[:, None, None] * (0.5 * (P - np.swapaxes(P.conj(), -1, -2))))
+        return _cayley(T, ((t[:, None] * p) @ basis).reshape(-1, k, k))
 
     _, f, done = _descend(fg, retract, Ts, _ASCENT_MAX_ITER)
     if not done.any():
         raise OptimizerError(
-            f"degenerate-stratum ascent: none of {m} starts reached a stationary point")
+            f"degenerate-stratum ascent: none of {len(Ts)} starts reached a stationary point")
     return -f
 
 
@@ -485,27 +488,22 @@ def gd_degenerate_fiber(C_invhalf, D, l, spec: FiberDivergence, budget=16, seed=
     U(s-r+l) (O(s-r+l) for real representations) conjugating the larger
     representation (algorithm1): a batched Riemannian ascent from the best
     max(2, budget) of 512 tails from the ambiguity sampler (over the reals
-    with a one-dimensional tail, the two signs are enumerated instead).
-    The tails depend only on (seed, k, field) and are drawn once per key
+    with a one-dimensional tail, the two signs, which it cannot move). The
+    tails depend only on (seed, k, field) and are drawn once per key
     (_coarse_tails), so the value is deterministic given a seed.
     `gd`'s evaluator, on the alignment fibers of a pair gd has validated;
     no fiber is decomposed here, only stacks of pencils.
     """
     r, s = C_invhalf.shape[0], D.shape[0]
-    k = s - r + l
-    complex_field = np.iscomplexobj(C_invhalf) or np.iscomplexobj(D)
-    Ts = _coarse_tails(seed, k, complex_field)
-    # coarse sampling pass: the value itself over the two signs of a real
-    # one-dimensional tail, otherwise the seeds of the local maximizations.
-    # Both run before the increasing bound, which a saturated +clamp makes
+    Ts = _coarse_tails(seed, s - r + l, np.iscomplexobj(C_invhalf) or np.iscomplexobj(D))
+    # coarse sampling pass: the seeds of the local maximizations. It and the
+    # ascent run before the increasing bound, which a saturated +clamp makes
     # tie everywhere, and the bound applies once to the max
     unbounded = replace(spec, bound=None)
     coarse = _conjugated_block_values(unbounded, C_invhalf[None], D, _frames(r - l, Ts, r))[0]
-    best = coarse.max()
-    if k > 1 or complex_field:
-        starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
-        best = max(best, _fiber_values(unbounded, _ascend(spec, C_invhalf, D, l, starts)).max())
-    return float(apply_bound(spec, best))
+    starts = Ts[np.argsort(coarse)[::-1][: max(2, budget)]]
+    ascended = _fiber_values(unbounded, _ascend(spec, C_invhalf, D, l, starts))
+    return float(apply_bound(spec, max(coarse.max(), ascended.max())))
 
 
 # --- the distance -----------------------------------------------------
@@ -689,8 +687,8 @@ def pairwise_gram(mats, spec: MetricSpec, seed=0, budget=16, samples=20000):
                     continue
                 try:
                     out[a, b] = gd(mats[a], mats[b], spec, **kw).total
-                except DomainError as e:
-                    raise DomainError(f"pair ({a}, {b}): {e}") from e
+                except PsdSimError as e:
+                    raise type(e)(f"pair ({a}, {b}): {e}") from e
                 if mats[a].rank != mats[b].rank:
                     out[b, a] = out[a, b]
                     break

@@ -107,12 +107,13 @@ def pencil_spectra(F, Y):
     products, (F Y) F*, whatever stack it sits in, so a pair's spectrum is
     the same bit for bit in a table, in a gathered stack of pairs and in a
     call of its own. `pencil_eigenvalues`, the point-set values and the
-    sampled values of `gd` (the coarse pass of `algorithm1` and faithful
-    mode's gathered entries) take their spectra from here. The closed form
-    of `gd` takes sigma(K)^2 instead, and the paths that also need
-    eigenvectors (the degenerate ascent, and through _derived_eig the
-    point-set witnesses and the quasi-geodesic) call eigh on F Y F*, formed
-    by the same products (_congruence).
+    sampled values of `gd` (geodist._entry_values, for the coarse pass of
+    `algorithm1` and faithful mode's entries) take their spectra from here.
+    The closed form of `gd` takes sigma(K)^2 instead, and the paths that
+    also need eigenvectors (the degenerate ascent, whose eigh gets the
+    coarse pass's F Y F* bit for bit at any tail, and through _derived_eig
+    the point-set witnesses and the quasi-geodesic) call eigh on F Y F*,
+    formed by the same products (_congruence).
     """
     return np.linalg.eigvalsh(_herm(_congruence(F, Y)))[..., ::-1]
 

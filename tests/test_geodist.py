@@ -571,6 +571,81 @@ def test_stacked_ascent_equals_each_start_alone(complex_field):
             assert np.array_equal(stacked, alone), (r, s, l, spec.kind)
 
 
+def _recorded(monkeypatch, owner, name, seen):
+    """Append to `seen` a copy of the first argument of every call to owner.name."""
+    fn = getattr(owner, name)
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def _record_widths(monkeypatch, widths):
+    """Append to `widths` the gradient width of every descent the ascent runs."""
+    descend = ps.geodist._descend
+
+    def recorded(fg, retract, X, max_iter):
+        widths.append(fg(X)[1].shape[1])
+        return descend(fg, retract, X, max_iter)
+
+    monkeypatch.setattr(ps.geodist, "_descend", recorded)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_ascent_shares_the_coarse_pass_matrix_and_skew_hermitian_coordinates(
+        complex_field, monkeypatch):
+    # at any tail the ascent's eigh sees the matrix the coarse pass's
+    # eigvalsh sees, bit for bit, at l = 1 and at l = r; and the descent runs
+    # on the k(k-1)/2 (real) or k^2 (complex) coordinates of a
+    # skew-Hermitian Omega, not on all of its entries
+    rng = np.random.default_rng(30)
+    spec = FD.kl()
+    for r, s, l in ((3, 4, 1), (2, 3, 2)):
+        Cih, D = _degenerate_fibers(rng, r, s, l, complex_field)
+        k = s - r + l
+        Ts = ps.geodist._coarse_tails(0, k, complex_field)
+        pick = rng.permutation(len(Ts))[:16]
+        with monkeypatch.context() as m:
+            coarse, ascent, widths = [], [], []
+            _recorded(m, np.linalg, "eigvalsh", coarse)
+            _recorded(m, np.linalg, "eigh", ascent)
+            _record_widths(m, widths)
+            ps.geodist._conjugated_block_values(spec, Cih[None], D, ps.geodist._frames(r - l, Ts, r))
+            ps.geodist._ascent_state(spec, Cih, D, l, Ts[pick])
+            ps.geodist._ascend(spec, Cih, D, l, Ts[pick])
+        coarse = np.concatenate([W.reshape(-1, r, r) for W in coarse])
+        assert np.array_equal(ascent[0], coarse[pick]), (r, s, l)
+        assert widths == [k * k if complex_field else k * (k - 1) // 2], (r, s, l, widths)
+
+
+def test_real_one_dimensional_tail_ascends_with_no_coordinates(monkeypatch):
+    # over the reals with k = 1 the ascent has no coordinates: its two sign
+    # starts are final, and the value is the larger of the two sign values.
+    # The fibers are those of r = s = 3, l = 1, drawn directly: gd's fibers
+    # of a helpers.degenerate_pair have a diagonal C there, and both signs
+    # give the same value
+    rng = np.random.default_rng(31)
+    Cih, D = ps.psd_power(rand_pd(rng, 3, 0.3, 3.0), -0.5), rand_pd(rng, 3, 0.3, 3.0)
+    signs = ps.geodist._frames(2, np.array([[[1.0]], [[-1.0]]]), 3)
+    widths, ascended = [], []
+    _record_widths(monkeypatch, widths)
+    ascend = ps.geodist._ascend
+
+    def recorded(*args):
+        ascended.append(ascend(*args))
+        return ascended[-1]
+
+    monkeypatch.setattr(ps.geodist, "_ascend", recorded)
+    for fiber in (FD.geodesic(), FD.kl(), ps.parse_divergence("burg:4")):
+        want = ps.geodist._conjugated_block_values(fiber, Cih[None], D, signs)[0]
+        assert want[0] != want[1], fiber.kind
+        got = ps.geodist.gd_degenerate_fiber(Cih, D, 1, fiber)
+        assert abs(got - want.max()) <= 1e-15 * want.max(), (fiber.kind, got, want)
+    assert widths == [0, 0, 0] and len(ascended) == 3 and all(len(a) == 2 for a in ascended)
+
+
 def test_closed_form_matches_faithful_on_generic_pairs():
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -648,6 +723,15 @@ def test_pairwise_error_context(monkeypatch):
         for mats, first in cases:
             with pytest.raises(ps.DomainError, match=first):
                 ps.pairwise_gram(mats, spec)
+
+    # any package error keeps its type and gains the pair: here an ascent
+    # that stalls on the worked pair's degenerate direction
+    def stalled(*args):
+        raise ps.OptimizerError("degenerate-stratum ascent: none of 16 starts reached a stationary point")
+
+    monkeypatch.setattr(ps.geodist, "_ascend", stalled)
+    with pytest.raises(ps.OptimizerError, match=r"pair \(1, 2\): degenerate-stratum ascent"):
+        ps.pairwise_gram([_diag_psd([1.0, 2.0, 3.0, 4.0, 5.0], 5), *example_pair()], GEO_GEO)
 
 
 def test_result_serialization():
@@ -1083,10 +1167,12 @@ def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monk
 
     monkeypatch.setattr(ps.geodist, "_entry_values", counted)
     for fiber in (FD.geodesic(), ps.parse_divergence("kl+clamp=5")):
+        # the reference's full tables go through _entry_values too
+        want = faithful_fiber(Cih, D, 2, fiber, 100_000, seed)
         entries["n"] = 0
         res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, fiber, "faithful"),
                     samples=100_000, seed=seed)
-        assert res.fiber_term == faithful_fiber(Cih, D, 2, fiber, 100_000, seed), fiber.kind
+        assert res.fiber_term == want, fiber.kind
         assert 0 < entries["n"] <= 0.2 * 99_856, (fiber.kind, entries["n"])
 
 
