@@ -19,7 +19,6 @@ lift_plus construct the optimal representatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +195,9 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     minus side: min of t'(alpha I_r + beta J_r)t over t1 >= ... >= t_r,
     t_k >= log lambda_k(C^{-1}D11); plus side: the same quadratic in s
     variables, with the trailing s - r variables unconstrained. Returns the
-    square root of the optimal value. plus <= minus always, with equality
-    iff beta = 0 or r = s. Each side needs alpha > 0 and beta > -alpha/m, m its variable count.
+    square root of the optimal value, through _spectrum_values as in `gd`.
+    plus <= minus always, with equality iff beta = 0 or r = s. Each side
+    needs alpha > 0 and beta > -alpha/m, m its variable count.
     """
     C, D, r, s, eigC = _check_pair(C, D)
     if side not in ("minus", "plus"):
@@ -205,38 +205,37 @@ def alpha_beta_pointset(C, D, alpha, beta, side="minus") -> float:
     m = r if side == "minus" else s
     if not geodesic_ab_is_distance_check(alpha, beta, m):
         raise DomainError(f"parameter region requires finite alpha > 0 and beta > -alpha/{m}")
-    c = np.log(_pencil_from_eig(*eigC, D[:r, :r]))
-    a, b, scale = _unit_scaled(alpha, beta)
     if side == "plus" and s > r:
         # minimizing over the free trailing variables in closed form leaves an
         # r-variable program with coupling alpha*beta/(alpha + (s - r)*beta)
-        a, b, scale = _unit_scaled(alpha, alpha * b / (a + (s - r) * b))
-    return float(np.sqrt(_min_quadratic_box(a, b, c)[0]) * math.sqrt(scale))
+        a, b, _ = _unit_scaled(alpha, beta)
+        beta = alpha * b / (a + (s - r) * b)
+    mu = _pencil_from_eig(*eigC, D[:r, :r])
+    return float(_spectrum_values(FiberDivergence.geodesic_ab(alpha, beta), mu))
 
 
 # --- optimal representatives -----------------------------------------
 
 
 def project_minus(C, D) -> ProjectionWitness:
-    """The unique point of Omega_minus(D) closest to C, for every family."""
+    """The unique point of Omega_minus(D) closest to C, for every family:
+    D11 plus the clamp's correction H diag(max(0, 1 - lam_raw)) H*, H = C^{1/2} V,
+    C^{-1/2} D11 C^{-1/2} = V diag(lam_raw) V*; zero, so D11 exactly, if nothing clamps."""
     C, D, r, s, eigC = _check_pair(C, D)
     D11 = D[:r, :r]
-    Chalf = _eig_power(*eigC, 0.5)
-    Cih = _eig_power(*eigC, -0.5)
-    lam_raw, V = _derived_eig(_congruence(Cih, D11))
-    lam = np.maximum(1.0, lam_raw)
-    if np.all(lam_raw >= 1.0):
-        dminus = D11.copy()
-    else:
-        dminus = _herm(Chalf @ ((V * lam) @ V.conj().T) @ Chalf)
-    return ProjectionWitness(dminus=dminus, lam=lam, Q=V.conj().T)
+    lam_raw, V = _derived_eig(_congruence(_eig_power(*eigC, -0.5), D11))
+    H = _eig_power(*eigC, 0.5) @ V
+    dminus = _herm(D11 + (H * np.maximum(0.0, 1.0 - lam_raw)) @ H.conj().T)
+    return ProjectionWitness(dminus=dminus, lam=np.maximum(1.0, lam_raw), Q=V.conj().T)
 
 
 def lift_plus(C, D) -> LiftWitness:
     """The unique point of Omega_plus(C) closest to D, for every family.
 
     Z is the block factor with Z D Z* = I_s and lam_raw = lambda(D11^{-1}C),
-    descending."""
+    descending, from the one decomposition of D11. The lift is D minus the clamp's
+    correction G diag(1 - min(1, lam_raw)) G*, G = D[:, :r] D11^{-1/2} V = Z^{-1}[:, :r];
+    zero, so D exactly, if nothing clamps."""
     C, D, r, s, _ = _check_pair(C, D)
     D11, D12 = D[:r, :r], D[:r, r:]
     Dih = _eig_power(*_derived_eig(D11), -0.5)
@@ -244,13 +243,11 @@ def lift_plus(C, D) -> LiftWitness:
     Z = np.zeros((s, s), dtype=np.result_type(C, D))
     Z[:r, :r] = V.conj().T @ Dih
     if s > r:
-        W = _eig_power(*_derived_eig(D[r:, r:] - D12.conj().T @ np.linalg.solve(D11, D12)), -0.5)
-        Z[r:, :r] = -W @ D12.conj().T @ np.linalg.inv(D11)
+        E = Dih @ (Dih @ D12)  # D11^{-1} D12
+        W = _eig_power(*_derived_eig(D[r:, r:] - D12.conj().T @ E), -0.5)
+        Z[r:, :r] = -W @ E.conj().T
         Z[r:, r:] = W
+    G = D[:, :r] @ (Dih @ V)
+    cplus = _herm(D - (G * (1.0 - np.minimum(1.0, lam_raw))) @ G.conj().T)
     lam = np.concatenate([np.minimum(1.0, lam_raw), np.ones(s - r)])
-    if np.all(lam_raw >= 1.0):
-        cplus = D.copy()
-    else:
-        Zinv = np.linalg.inv(Z)
-        cplus = _herm((Zinv * lam) @ Zinv.conj().T)
     return LiftWitness(cplus=cplus, Z=Z, lam=lam)

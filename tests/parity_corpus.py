@@ -4,13 +4,18 @@ The corpus records what the library computes on a fixed set of inputs: `gd`
 in both Hausdorff modes over a grid of pairs and fiber divergences (the
 value as `repr` floats, or the class name of the error it raises), one
 `pairwise_gram`, and the `project-lift` representatives. A change that
-moves values regenerates the file and lists every moved entry, with its
-direction and size (`--diff`); tests/test_parity_corpus.py holds the library
-to the checked-in file within 1e-12 relative.
+moves values regenerates the file and lists every moved entry of the three
+sections, with its direction and size (`--diff`), and can require that no
+value of one Hausdorff mode fell (`--only-up MODE`: `algorithm1` computes a
+sup from below, so a change to its search may only raise it);
+tests/test_parity_corpus.py holds the library to the checked-in file within
+1e-12 relative.
 
     python3 tests/parity_corpus.py                  # rewrite the corpus
     python3 tests/parity_corpus.py --out new.json   # write it elsewhere
     python3 tests/parity_corpus.py --diff old.json  # moved entries, old -> new
+    python3 tests/parity_corpus.py --diff old.json --only-up algorithm1
+                                                    # and exit 1 if one fell
 
 Run from the repository root with psdsim importable (installed, or
 PYTHONPATH=src). Every input is built from fixed seeds, so two runs on one
@@ -167,9 +172,16 @@ def _key(e):
     return (e["pair"], e["fiber"], e["mode"], e["seed"])
 
 
+def _move(x, y):
+    """The direction and relative size of a move from x to y."""
+    return f"{'up' if y > x else 'down'}, {abs(y - x) / max(abs(x), 1e-300):.2g} relative"
+
+
 def diff(old, new):
-    """Lines naming each gd entry that moved from `old` to `new`: its key,
-    both values, the direction and the relative size of the move."""
+    """Lines naming everything that moved from `old` to `new`: each gd entry
+    and each pairwise_gram entry with both values, the direction and the
+    relative size of the move; each project_lift field with its largest move
+    relative to the field's largest entry."""
     before = {_key(e): e for e in old["gd"]}
     out = []
     for e in new["gd"]:
@@ -182,11 +194,34 @@ def diff(old, new):
             if x == y:
                 continue
             if isinstance(x, float) and isinstance(y, float):
-                rel = abs(y - x) / max(abs(x), 1e-300)
-                out.append(f"{_key(e)} {field}: {x!r} -> {y!r} "
-                           f"({'up' if y > x else 'down'}, {rel:.2g} relative)")
+                out.append(f"{_key(e)} {field}: {x!r} -> {y!r} ({_move(x, y)})")
             else:
                 out.append(f"{_key(e)} {field}: {x!r} -> {y!r}")
+    x, y = (np.array(c["pairwise_gram"]["gram"]) for c in (old, new))
+    for i, j in zip(*np.nonzero(x != y)):
+        a, b = float(x[i, j]), float(y[i, j])
+        out.append(f"pairwise_gram[{i}][{j}]: {a!r} -> {b!r} ({_move(a, b)})")
+    for o, e in zip(old["project_lift"], new["project_lift"], strict=True):
+        for field in ("dminus", "minus_lam", "cplus", "plus_lam"):
+            x, y = np.array(o[field]), np.array(e[field])
+            if np.any(x != y):
+                rel = np.abs(y - x).max() / max(np.abs(x).max(), 1e-300)
+                out.append(f"project_lift {e['case']} {field}: {np.count_nonzero(x != y)} "
+                           f"of {x.size} numbers moved, at most {rel:.2g} relative")
+    return out
+
+
+def fell(old, new, mode):
+    """Lines naming each gd entry of Hausdorff mode `mode` whose fiber term
+    or total is lower in `new` than in `old`."""
+    before = {_key(e): e for e in old["gd"]}
+    out = []
+    for e in new["gd"]:
+        o = before.get(_key(e), {}) if e["mode"] == mode else {}
+        for field in ("fiber_term", "total"):
+            x, y = o.get(field), e.get(field)
+            if isinstance(x, float) and isinstance(y, float) and y < x:
+                out.append(f"{_key(e)} {field} fell: {x!r} -> {y!r} ({_move(x, y)})")
     return out
 
 
@@ -194,15 +229,26 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=CORPUS, help="where to write the corpus")
     parser.add_argument("--diff", metavar="OLD",
-                        help="print the gd entries that moved from OLD; write nothing")
+                        help="print the entries that moved from OLD; write nothing")
+    parser.add_argument("--only-up", metavar="MODE",
+                        help="with --diff: exit 1, naming them, if any gd entry of "
+                             "Hausdorff mode MODE fell")
     args = parser.parse_args(argv)
+    if args.only_up and not args.diff:
+        parser.error("--only-up needs --diff OLD")
     new = corpus()
     if args.diff:
         with open(args.diff) as f:
-            print("\n".join(diff(json.load(f), new)) or "no gd entry moved")
-        return
+            old = json.load(f)
+        print("\n".join(diff(old, new)) or "nothing moved")
+        falls = fell(old, new, args.only_up) if args.only_up else []
+        if falls:
+            print("\n".join(falls))
+            return 1
+        return 0
     with open(args.out, "w") as f:
         f.write(dumps(new))
+    return 0
 
 
 if __name__ == "__main__":

@@ -69,6 +69,16 @@ def test_parse_rejects_non_finite_entries():
         parse_matrix_text("psdm complex 1\n1 nan")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: format_matrix(np.ones(3)), "can only serialize 2-d arrays"),
+    (lambda: parse_matrix_text("psdm real 0\n"), "matrix dimensions must be positive"),
+])
+def test_matrixio_typed_errors(call, message):
+    with pytest.raises(ps.ParseError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_dist_non_finite_file_exits_2(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.psdm", [[math.nan, 0.0], [0.0, 1.0]])
     b = write_matrix(tmp_path / "b.psdm", np.eye(2))
@@ -460,6 +470,20 @@ def test_transport_target_dimension_must_match_rank(tmp_path, capsys):
     t = write_matrix(tmp_path / "t.psdm", np.eye(3)[:, :1])
     code, out, err = run_cli(capsys, "transport", "--a", a, "--target", t)
     assert code == 3 and out == "" and "dimensions differ: 2 vs 1" in err
+
+
+@pytest.mark.parametrize("command, code, message", [
+    (["transport", "--a", "{a}", "--target", "{t}", "--steps", "0"], 3, "--steps must be >= 1"),
+    (["pairwise", "--inputs", "{empty}"], 2, "no input files found in '{empty}'"),
+    (["pairwise", "--inputs", " , ,"], 2, "no input files found in ' , ,'"),
+])
+def test_cli_typed_errors(tmp_path, capsys, command, code, message):
+    paths = {"a": write_matrix(tmp_path / "a.psdm", np.diag([1.0, 2.0, 0.0])),
+             "t": write_matrix(tmp_path / "t.psdm", np.eye(3)[:, :2]),
+             "empty": str(tmp_path / "empty")}
+    os.mkdir(paths["empty"])
+    got, out, err = run_cli(capsys, *(arg.format(**paths) for arg in command))
+    assert (got, out, err) == (code, "", f"error: {message.format(**paths)}\n")
 
 
 def test_import_and_gd_leave_scipy_unloaded():

@@ -226,6 +226,17 @@ def test_grammar_errors():
             ps.parse_divergence(bad)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FD("nope"), ps.DomainError, "unknown divergence family 'nope'"),
+    (lambda: ps.parse_divergence("stein:1,2"), ps.ParseError,
+     "divergence 'stein' takes at most 1 parameter"),
+])
+def test_typed_errors(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_readme_grammar_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     examples = re.findall(r'`"([^"`]+)"`', readme) + re.findall(r"--fiber (\S+)", readme)

@@ -64,6 +64,16 @@ def test_hausdorff_rejects_empty():
         generalized_hausdorff(lambda x, y: 0.0, [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ps.MetricSpec(GM.GEODESIC, FD.kl(), "exact"), "unknown hausdorff mode 'exact'"),
+    (lambda: ps.pairwise_gram([], GEO_GEO), "empty input list"),
+])
+def test_typed_errors(call, message):
+    with pytest.raises(ps.DomainError) as e:
+        call()
+    assert str(e.value) == message
+
+
 # --- representation-set sampling --------------------------------------
 
 
@@ -373,13 +383,29 @@ def test_geodesic_family_at_beta_zero_is_geo_scaled_by_root_alpha():
 
 
 def test_degenerate_sign_enumeration_is_exact():
-    # one-dimensional residual group over the reals: only +-1 to try
-    A = ps.PsdMatrix(np.diag([1.0, 2.0, 0.0]))
-    B = ps.PsdMatrix(np.diag([1.0, 0.0, 3.0]))
-    res = ps.gd(A, B, GEO_GEO, budget=1)
-    assert res.stratum_index == 1
-    again = ps.gd(A, B, GEO_GEO, budget=64)
-    assert res.total == again.total
+    # one-dimensional residual group over the reals: only +-1 to try. The
+    # pair (r = s = 3, l = 1) is drawn in random bases of its two ranges, so
+    # its left fiber in the principal basis is not diagonal and the two
+    # signs give different values; here the -1 sign gives the larger one
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    O1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    O2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    theta = rng.uniform(0.3, 1.2, size=2)
+    tilted = np.cos(theta) * Q[:, :2] + np.sin(theta) * Q[:, 3:5]
+    frames = Q[:, :3] @ O1, np.column_stack([tilted, Q[:, 5]]) @ O2
+    A, B = (ps.PsdMatrix((F * rng.uniform(0.5, 2.0, 3)) @ F.T) for F in frames)
+    prep = ps.geodist._prepare([A], [B])
+    Cih, D = prep.fibers(0)
+    C = prep.P[0].T @ (prep.wA[0][:, None] * prep.P[0])
+    assert prep.l[0] == 1 and np.abs(C - np.diag(np.diag(C))).max() > 0.1
+    signs = ps.geodist._frames(2, np.array([[[1.0]], [[-1.0]]]), 3)
+    want = ps.geodist._conjugated_block_values(FD.geodesic(), Cih[None], D, signs)[0]
+    assert want[1] - want[0] > 0.01 * want[1], want
+    for budget in (1, 64):
+        res = ps.gd(A, B, GEO_GEO, budget=budget)
+        assert res.stratum_index == 1
+        assert abs(res.fiber_term - want[1]) <= 1e-15 * want[1], (budget, res.fiber_term, want)
 
 
 def test_degenerate_starts_are_ranked_before_the_bound(monkeypatch):

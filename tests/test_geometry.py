@@ -78,6 +78,21 @@ def test_right_angle_rejected():
         ps.subspace_geodesic(U, V)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ps.transport_curve(ps.PsdMatrix(np.diag([1.0, 2.0, 3.0, 0.0])), ps.subspace_geodesic(
+        ps.Subspace(np.eye(4)[:, :2]), ps.Subspace(np.array([[1.0, 0], [0, 0.6], [0, 0], [0, 0.8]])))),
+     "rank of A does not match the geodesic start dimension"),
+    (lambda: ps.quasi_geodesic(ps.PsdMatrix(np.eye(2)), ps.PsdMatrix(np.eye(3)), 0.5),
+     "ambient mismatch: 2 vs 3"),
+    (lambda: ps.quasi_geodesic(ps.PsdMatrix(np.diag([1.0, 0.0, 0.0])), ps.PsdMatrix(np.eye(3)), 0.5),
+     "quasi-geodesic needs equal rank, got 1 vs 3"),
+])
+def test_typed_errors(call, message):
+    with pytest.raises(ps.DomainError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_transport_constant_curve():
     rng = np.random.default_rng(3)
     A = rand_psd_rank(rng, 5, 2)

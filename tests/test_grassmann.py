@@ -93,6 +93,15 @@ def test_angle_domain_and_length_checks():
             ps.grassmann_distance(GM.GEODESIC, [0.1, bad])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ps.grassmann_distance("geodesic", [0.1, 0.2]), "unhandled metric 'geodesic'"),
+])
+def test_typed_errors(call, message):
+    with pytest.raises(ps.DomainError) as e:
+        call()
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("metric", ALL)
 def test_stacked_angles_match_per_row_calls(metric):
     rng = np.random.default_rng(3)

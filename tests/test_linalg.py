@@ -138,6 +138,26 @@ def test_psdmatrix_rejects_bad_tolerances(name, bad):
             ps.Subspace(np.eye(2), tol_rank=bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ps.linalg.check_hermitian(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: ps.pencil_eigenvalues(np.eye(2), np.eye(3)), "pencil size mismatch: (2, 2) vs (3, 3)"),
+    (lambda: ps.Subspace(np.ones(3)), "subspace frame must be a 2-d array"),
+    (lambda: ps.Subspace(np.ones((3, 2))), "subspace frame is not orthonormal at 1e-10"),
+    (lambda: ps.principal_system(ps.Subspace(np.eye(3)[:, :1]), ps.Subspace(np.eye(4)[:, :1])),
+     "ambient mismatch: 3 vs 4"),
+])
+def test_typed_errors(call, message):
+    with pytest.raises(ps.DomainError) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_integer_matrix_is_taken_as_float():
+    A = ps.PsdMatrix(np.array([[2, 1], [1, 2]]))
+    assert A.entries.dtype == np.float64 and A.rank == 2
+    assert np.array_equal(A.entries, [[2.0, 1.0], [1.0, 2.0]])
+
+
 def test_subspace_rejects_non_finite_frames():
     # NaN fails every comparison, so the orthonormality test alone let it through
     for bad in (np.nan, np.inf):

@@ -137,6 +137,15 @@ def test_qp_beta_zero_reduces_to_clamped_form():
     base = ps.pointset_minus(FD.geodesic(), C, D).value
     assert abs(got - math.sqrt(alpha) * base) <= 1e-10
     assert abs(ps.alpha_beta_pointset(C, D, alpha, 0.0, side="plus") - got) <= 1e-10
+    # the value comes from the route gd takes: at beta = 0, the per-eigenvalue
+    # sum of pointset_minus bit for bit, also where NumPy sums 8 or more
+    # terms pairwise
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        C, D = rand_pd(rng, 9, 0.5, 2.5), 4.0 * rand_pd(rng, 10, 0.5, 2.5)
+        want = ps.pointset_minus(FD.geodesic_ab(alpha, 0.0), C, D).value
+        for side in ("minus", "plus"):
+            assert ps.alpha_beta_pointset(C, D, alpha, 0.0, side=side) == want, (seed, side)
 
 
 def test_qp_equal_rank_sides_agree():
@@ -183,6 +192,8 @@ def test_qp_parameter_region():
         ps.alpha_beta_pointset(C, D, 1.0, -0.6, side="plus")
     with pytest.raises(ps.DomainError):
         ps.alpha_beta_pointset(C, D, 1.0, -1.0)
+    with pytest.raises(ps.DomainError, match="^unknown side 'both'$"):
+        ps.alpha_beta_pointset(C, D, 1.0, 0.0, side="both")
     for alpha, beta in ((1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)):
         for side in ("minus", "plus"):
             with pytest.raises(ps.DomainError, match="finite"):
@@ -443,6 +454,33 @@ def test_eigendecomposition_counts(monkeypatch):
         counts["n"] = 0
         call()
         assert counts["n"] == want, name
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_representatives_are_their_input_plus_a_psd_correction(monkeypatch, complex_field):
+    # each representative is its input plus (project_minus) or minus
+    # (lift_plus) the clamp's PSD correction, from the decompositions
+    # test_eigendecomposition_counts pins and no inverse or solve; the pencil
+    # straddles 1, so both corrections are nonzero
+    rng = np.random.default_rng(27)
+    C, D = rand_pd(rng, 3, 0.3, 3.0), rand_pd(rng, 5, 0.3, 3.0)
+    if complex_field:
+        C, D = (M + 0.1j * (R - R.T) for M, R in ((C, rng.normal(size=(3, 3))),
+                                                   (D, rng.normal(size=(5, 5)))))
+    mu = ps.pencil_eigenvalues(C, D[:3, :3])
+    assert mu.min() < 0.9 and mu.max() > 1.1, mu
+    eig = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    inv = count_calls(monkeypatch, np.linalg, "inv", "solve")
+    for call, want in ((ps.project_minus, 3), (ps.lift_plus, 5)):
+        eig["n"] = inv["n"] = 0
+        call(C, D)
+        assert (eig["n"], inv["n"]) == (want, 0), call.__name__
+    tol = 1e-14 * np.abs(D).max()
+    dminus, cplus = ps.project_minus(C, D).dminus, ps.lift_plus(C, D).cplus
+    assert np.linalg.eigvalsh(dminus - D[:3, :3]).min() >= -tol
+    assert np.linalg.eigvalsh(D - cplus).min() >= -tol
+    assert np.linalg.eigvalsh(dminus - D[:3, :3]).max() > 0.1
+    assert np.linalg.eigvalsh(D - cplus).max() > 0.1
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
