@@ -27,6 +27,7 @@ from .errors import DomainError, OptimizerError, PsdSimError
 from .grassmann import GrassmannMetric, grassmann_distance
 from .linalg import (
     PsdMatrix,
+    _adjoint,
     _congruence,
     _descend,
     _eig_power,
@@ -192,11 +193,14 @@ def _sample_group(rng, k, count, complex_field):
     if not complex_field and k == 1:
         out[:, 0, 0] = (-1.0) ** np.arange(count)
     elif not complex_field and k == 2:
-        ang = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(
-            0.0, 2.0 * np.pi, count // 2, endpoint=False)
-        c, s = np.cos(ang), np.sin(ang)
-        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        out[1:] = np.concatenate([rot, rot * [1.0, -1.0]])[: count - 1]
+        h = count // 2
+        ang = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, h, endpoint=False)
+        rot, ref = out[1:h + 1], out[h + 1:]
+        rot[:, 0, 0] = rot[:, 1, 1] = np.cos(ang)
+        rot[:, 1, 0] = np.sin(ang)
+        rot[:, 0, 1] = -rot[:, 1, 0]
+        ref[:] = rot[:len(ref)]
+        ref[:, :, 1] *= -1.0
     else:
         out[1:] = _random_unitaries(rng, count - 1, k, complex_field)
     return out
@@ -298,21 +302,24 @@ def _nearest(queries, points):
     """(draws, n, m) indices of the points nearest each query, by the largest
     real inner product Re tr(q* p), for queries (draws, n, m, ...) and points
     (draws, n', ...) of the same trailing shape; a query looks only among the
-    points of its own draw. Each (rows, m, n') block of scores fits
-    _CHUNK_BYTES.
+    points of its own draw. Each block of query rows is scored as one 2-D
+    product, (rows m, w) against the draw's contiguous (w, n') transposed
+    points, and its (rows m, n') scores fit _CHUNK_BYTES.
     """
     def flat(X):
         X = X.reshape(X.shape[:-2] + (-1,))
         return np.concatenate([X.real, X.imag], axis=-1) if np.iscomplexobj(X) else X
 
     q, p = flat(queries), flat(points)
-    draws, n, m, _ = q.shape
-    out = np.empty((draws, n, m), dtype=int)
-    step = max(1, _CHUNK_BYTES // (m * p.shape[1] * 8))
+    draws, n, m, w = q.shape
+    q = q.reshape(draws, n * m, w)
+    out = np.empty((draws, n * m), dtype=int)
+    step = max(1, _CHUNK_BYTES // (m * p.shape[1] * 8)) * m
     for d in range(draws):
-        for c in range(0, n, step):
-            out[d, c:c + step] = np.argmax(q[d, c:c + step] @ p[d].T, axis=-1)
-    return out
+        pt = np.ascontiguousarray(p[d].T)
+        for c in range(0, n * m, step):
+            np.argmax(q[d, c:c + step] @ pt, axis=-1, out=out[d, c:c + step])
+    return out.reshape(draws, n, m)
 
 
 def _faithful_fiber(C_invhalf, D, wC, wD, l, spec: FiberDivergence, samples, seed):
@@ -360,6 +367,7 @@ def _faithful_fiber(C_invhalf, D, wC, wD, l, spec: FiberDivergence, samples, see
     ub = np.full(R + n_d * n_t, np.inf)
     todo = np.repeat([n_t, n_s], [R, n_d * n_t])  # entries not yet evaluated
     known = np.zeros(R * n_t, dtype=bool)
+    new = np.zeros(R * n_t, dtype=bool)  # all False between calls of fill
 
     def entries(d, i, j):
         """Flat indices of the entries (d, i, j), broadcast."""
@@ -368,8 +376,9 @@ def _faithful_fiber(C_invhalf, D, wC, wD, l, spec: FiberDivergence, samples, see
     def fill(e):
         """Evaluate the new entries among flat indices e; their values, in
         ascending order of index."""
-        e = np.unique(e)
-        e = e[~known[e]]
+        new[e] = ~known[e]
+        e = np.flatnonzero(new)
+        new[e] = False
         q = e // n_t
         c = q // n_s * n_t + e % n_t
         v = _entry_values(spec, F, Y, q, c)
@@ -424,7 +433,7 @@ def _ascent_state(spec, C_invhalf, D, l, Ts):
     i0 = r - l
     E = _frames(i0, Ts, r)
     ED = E @ D  # Y = (E D) E*, the products of _congruence(E, D)
-    lam, V = np.linalg.eigh(_herm(_congruence(C_invhalf, ED @ np.swapaxes(E.conj(), -1, -2))))
+    lam, V = np.linalg.eigh(_herm(_congruence(C_invhalf, ED @ _adjoint(E))))
     F, dF = _spectrum_objective(spec, lam[..., ::-1], with_grad=True)
     G = (V * dF[..., ::-1][..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
     grad = 2.0 * ((C_invhalf[i0:] @ G) @ C_invhalf) @ ED[:, :, i0:]

@@ -79,10 +79,17 @@ def psd_power(M, p):
     return _eig_power(w, V, p)
 
 
+def _adjoint(G):
+    """G* of a matrix or a stack of them, as a C-contiguous copy."""
+    return np.conjugate(np.swapaxes(G, -1, -2), order="C")
+
+
 def _congruence(G, M):
     """G M G*, formed as (G M) G*, for a matrix or a stack of them: the one
-    product order of every pencil and every derived matrix."""
-    return (G @ M) @ np.swapaxes(G.conj(), -1, -2)
+    product order of every pencil and every derived matrix. G* is taken as
+    a contiguous copy (_adjoint): a stacked real matmul against the
+    transposed view of G is slower, and gives the same bytes."""
+    return (G @ M) @ _adjoint(G)
 
 
 def _derived_eig(M):

@@ -4,7 +4,8 @@ containment set by brute force, independently of the closed forms.
 `representation_set` and `generalized_hausdorff` write faithful mode's
 sampled stage out in full: the pairs `gd` draws, and the max-min over them.
 `faithful_fiber` is that max-min read off the full value tables of the draws,
-every entry evaluated.
+every entry evaluated. `congruence_by_view` is G M G* formed against the
+transposed view of G.
 """
 
 import numpy as np
@@ -81,6 +82,12 @@ def faithful_fiber(C_invhalf, D, l, spec: FiberDivergence, samples, seed):
         d1 = max(d1, float(vals.min(axis=1).max()))
         d2 = max(d2, float(vals.min(axis=0).max()))
     return max(d1, d2)
+
+
+def congruence_by_view(G, M):
+    """(G M) G* with G* taken as a transposed view of G, for a matrix or a
+    stack of them: the product linalg._congruence must equal bit for bit."""
+    return (G @ M) @ np.swapaxes(G.conj(), -1, -2)
 
 
 # --- independent verification oracle ---------------------------------

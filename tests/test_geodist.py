@@ -1202,6 +1202,53 @@ def test_faithful_worked_pair_evaluates_a_fifth_of_the_tables_at_most(seed, monk
         assert 0 < entries["n"] <= 0.2 * 99_856, (fiber.kind, entries["n"])
 
 
+@pytest.mark.parametrize("pair, samples, seed, count", [
+    ("worked", 100_000, 0, 5508), ("worked", 100_000, 1, 5207),
+    ("complex", 20_000, 0, 3692), ("complex", 20_000, 1, 3634)])
+def test_faithful_evaluates_each_entry_once(pair, samples, seed, count, monkeypatch):
+    # across all of the branch and bound's _entry_values calls no (row,
+    # column) entry repeats, and the set it evaluates is pinned by its size
+    if pair == "worked":
+        A, B = example_pair()
+    else:
+        A, B = degenerate_pair(np.random.default_rng(28), 7, 3, 4, 2, complex_field=True)
+    seen = []
+    evaluate = ps.geodist._entry_values
+
+    def recorded(spec, F, Y, i, j):
+        seen.extend(zip(i.tolist(), j.tolist()))
+        return evaluate(spec, F, Y, i, j)
+
+    monkeypatch.setattr(ps.geodist, "_entry_values", recorded)
+    res = ps.gd(A, B, ps.MetricSpec(GM.GEODESIC, FD.geodesic(), "faithful"),
+                samples=samples, seed=seed)
+    assert res.stratum_index == 2
+    assert len(set(seen)) == len(seen) == count
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 4096])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_nearest_is_the_argmax_of_the_full_score_table(complex_field, chunk, monkeypatch):
+    # _nearest scores blocks of query rows by 2-D products; a brute-force
+    # table of every Re tr(q* p) of a draw gives the same indices
+    if chunk is not None:
+        monkeypatch.setattr(ps.geodist, "_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(31)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_field else x
+
+    draws, n, m, n_p = 3, 40, 4, 30
+    for l in range(1, 4):
+        for k in range(l, 5):
+            queries, points = draw(draws, n, m, l, k), draw(draws, n_p, l, k)
+            scores = np.einsum("dnmab,dpab->dnmp", queries.conj(), points).real
+            got = ps.geodist._nearest(queries, points)
+            assert got.shape == (draws, n, m)
+            assert np.array_equal(got, scores.argmax(axis=-1)), (l, k)
+
+
 @pytest.mark.parametrize("pair_seed, alpha, raises", [(2, 5.0919, True), (4, 7.7779, False)])
 def test_faithful_evaluates_every_entry_unless_the_domain_is_certified(
         pair_seed, alpha, raises, monkeypatch):

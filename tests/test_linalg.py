@@ -18,6 +18,7 @@ from helpers import (
     rand_pd,
     rand_psd_rank,
 )
+from reference import congruence_by_view
 
 
 def test_hermitian_eig_identity():
@@ -110,6 +111,28 @@ def test_pencil_spectra_of_a_factor_stack_match_one_call_per_factor(complex_fiel
                 assert np.array_equal(table[i, j], ps.linalg.pencil_spectra(F[i], Y[j]))
         # the factor stack keeps its own leading axes
         assert np.array_equal(ps.linalg.pencil_spectra(F[None, :, None], Y)[0], table)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("stacked", ["G", "M", "both"])
+def test_congruence_equals_the_transposed_view_product(stacked, complex_field):
+    # _congruence takes G* as a contiguous copy, which runs faster than the
+    # transposed view; every pencil passes through it, so it must give the
+    # view's bytes for every size a pencil or a frame stack takes
+    rng = np.random.default_rng(17)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_field else x
+
+    for r in range(1, 7):
+        for s in range(r, 9):
+            for m in (1, 2, 5, 31, 600):
+                G = draw(r, s) if stacked == "M" else draw(m, r, s)
+                M = draw(s, s) if stacked == "G" else draw(m, s, s)
+                got = ps.linalg._congruence(G, M)
+                want = congruence_by_view(G, M)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (r, s, m)
 
 
 def test_pencil_congruence_invariance():
